@@ -20,6 +20,8 @@
 #include "mem/hierarchy.hh"
 #include "mem/repl/factory.hh"
 #include "mem/repl/opt.hh"
+#include "sim/experiment.hh"
+#include "sim/hierarchy_sim.hh"
 #include "sim/parallel.hh"
 #include "sim/sharded_sim.hh"
 #include "sim/stream_sim.hh"
@@ -365,6 +367,31 @@ BM_HierarchyRun(benchmark::State &state)
         static_cast<std::int64_t>(trace.size()));
 }
 
+void
+BM_HierarchyCapture(benchmark::State &state)
+{
+    // A real cold capture, unlike BM_HierarchyRun's synthetic stream:
+    // canneal's demand trace through the study's capture hierarchy
+    // (8 cores, 32 KB L1s, 4 MB LRU LLC) with the sharing tracker on
+    // the LLC and the LLC stream captured.  Most references miss the
+    // L1s here, so this times the L1-miss / L1-fill / directory path.
+    StudyConfig config;
+    config.workload.scale = 0.05;
+    static const Trace trace =
+        makeWorkloadTrace("canneal", config.workload);
+    const HierarchyConfig hier = captureHierarchyConfig(config);
+    for (auto _ : state) {
+        Trace stream("canneal.llc", config.workload.threads);
+        const HierarchyRunResult result = runHierarchy(
+            trace, hier, requirePolicyFactory("lru"), &stream);
+        benchmark::DoNotOptimize(result.llcAccesses);
+        benchmark::DoNotOptimize(stream.data());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(trace.size()));
+}
+
 BENCHMARK(BM_TagLookupHit);
 BENCHMARK(BM_TagLookupMiss);
 BENCHMARK(BM_FillEvict);
@@ -384,6 +411,7 @@ BENCHMARK(BM_LabelPlaneBuild);
 BENCHMARK(BM_OracleLabel);
 BENCHMARK(BM_TraceGeneration);
 BENCHMARK(BM_HierarchyRun);
+BENCHMARK(BM_HierarchyCapture);
 
 } // namespace
 } // namespace casim

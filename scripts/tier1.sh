@@ -119,16 +119,8 @@ if [ "${nommap_deser}" -lt 1 ]; then
     echo "FATAL: CASIM_NO_MMAP run did not take the fallback path" >&2
     exit 1
 fi
-for doc in sub_cold sub_warm sub_nommap; do
-    shims=$(stat_counter "${capdir}/${doc}.json" \
-        capture_cache.shim_uses)
-    if [ "${shims}" -ne 0 ]; then
-        echo "FATAL: ${doc} used a deprecated capture-cache shim" >&2
-        exit 1
-    fi
-done
 echo "warm start: ${warm_maps} bundles mapped (${warm_bytes} bytes)," \
-    "zero deserialization, zero shim uses"
+    "zero deserialization"
 
 echo "== tier-1: out-of-core replay stays under the RSS budget =="
 # A trace 4x the RSS budget must replay with flat memory through the

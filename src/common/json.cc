@@ -102,9 +102,17 @@ class Parser
         const char c = peek();
         switch (c) {
           case '{':
-            return parseObject();
-          case '[':
-            return parseArray();
+          case '[': {
+            if (depth_ == kMaxDepth) {
+                fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                     " levels");
+                return {};
+            }
+            ++depth_;
+            Value nested = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return nested;
+          }
           case '"':
             return Value(parseString());
           case 't':
@@ -257,6 +265,9 @@ class Parser
 
     const std::string &text_;
     std::size_t pos_ = 0;
+
+    /** Arrays/objects currently open (bounded by kMaxDepth). */
+    unsigned depth_ = 0;
     bool ok_ = true;
     std::string error_;
 };

@@ -85,13 +85,22 @@ class Value
 };
 
 /**
+ * Deepest array/object nesting parse() accepts.  The parser recurses
+ * once per level, so an unbounded depth would let a single hostile
+ * line ("[[[[...") overflow the stack; no casim document nests beyond
+ * a handful of levels.
+ */
+inline constexpr unsigned kMaxDepth = 64;
+
+/**
  * Parse one complete JSON document.
  *
  * @param text  The document; trailing content after the value is an
  *              error (one request per line is enforced by the caller).
  * @param out   Receives the parsed value on success.
  * @param error Receives a one-line diagnostic (with a byte offset) on
- *              failure; cleared on success.  May be nullptr.
+ *              failure, including nesting deeper than kMaxDepth;
+ *              cleared on success.  May be nullptr.
  * @return True on success.
  */
 bool parse(const std::string &text, Value &out, std::string *error);

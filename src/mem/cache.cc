@@ -252,15 +252,17 @@ Cache::fill(const ReplContext &ctx, const VictimHandler &on_victim)
         if ((dirty_[set] >> way) & 1)
             ++dirtyEvictions_;
         policy_->onEvict(set, way);
-        if (on_victim || observer_ != nullptr) {
-            if (on_victim)
-                on_victim(blockAt(set, way), set, way);
+        if (on_victim)
+            on_victim(blockAt(set, way), set, way);
+        if (observer_ != nullptr)
             endResidency(set, way, false);
-        }
-        // Otherwise nobody can see the victim between here and the
-        // install below, which overwrites every block field and every
-        // per-set mirror — skip endResidency's dead intermediate
-        // stores to the (cold) victim line.
+        // Without an observer nobody can see the victim between here
+        // and the install below, which overwrites every block field
+        // and every per-set mirror — skip endResidency's dead
+        // intermediate stores to the (cold) victim line.  The victim
+        // handler ran above with the victim intact; it must not touch
+        // this cache (the hierarchy's handlers only reach the other
+        // level).
     }
 
     // Compose the installed state in a stack temporary and copy it
@@ -305,8 +307,17 @@ Cache::setBlockDirty(CacheBlock &block, bool dirty)
     const auto flat = static_cast<std::size_t>(&block - blocks_.data());
     casim_assert(flat < blocks_.size() && block.valid,
                  "setBlockDirty on a block not resident in ", name_);
-    const auto set = static_cast<unsigned>(flat / geo_.ways);
-    const auto way = static_cast<unsigned>(flat % geo_.ways);
+    // A resident block sits in its address's set, so the set comes
+    // from the address bits and the way from the slot offset — no
+    // runtime divide by the associativity on this per-reference path.
+    const unsigned set = setIndex(block.addr);
+    const auto way = static_cast<unsigned>(
+        flat - static_cast<std::size_t>(set) * geo_.ways);
+#ifdef CASIM_PARANOID
+    casim_assert(way < geo_.ways && &blockAt(set, way) == &block,
+                 "setBlockDirty block outside its address's set in ",
+                 name_);
+#endif
     block.dirty = dirty;
     if (dirty)
         dirty_[set] |= 1ULL << way;

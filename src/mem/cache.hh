@@ -111,7 +111,9 @@ class Cache
      * Called with the victim block before a fill overwrites it.  The
      * victim's set and way are passed explicitly so handlers never have
      * to recover them from the reference (which would tie the contract
-     * to the victim aliasing the tag array).
+     * to the victim aliasing the tag array).  A handler must not touch
+     * the cache being filled: without an observer, fill() installs over
+     * the victim without clearing it first.
      */
     using VictimHandler =
         std::function<void(const CacheBlock &, unsigned set, unsigned way)>;

@@ -42,10 +42,18 @@ Hierarchy::Hierarchy(const HierarchyConfig &config,
         l1s_.push_back(std::make_unique<Cache>(
             "l1_" + std::to_string(core), config_.l1,
             std::make_unique<LruPolicy>(sets, config_.l1.ways)));
+        l1Victims_.push_back(
+            [this, core = static_cast<CoreId>(core)](
+                const CacheBlock &victim, unsigned, unsigned) {
+                handleL1Victim(core, victim);
+            });
     }
     llc_ = std::make_unique<Cache>(
         "llc", config_.llc,
         llc_policy(config_.llc.numSets(), config_.llc.ways));
+    llcVictim_ = [this](const CacheBlock &victim, unsigned, unsigned) {
+        handleLlcVictim(victim);
+    };
     if (config_.useDramModel)
         dram_ = std::make_unique<DramModel>(config_.dram);
 }
@@ -140,11 +148,7 @@ Hierarchy::accessLlc(const MemAccess &access, bool is_upgrade)
         cycles_ += dram_ ? dram_->access(block_addr)
                          : config_.memLatency;
         ++memReads_;
-        CacheBlock &filled =
-            llc_->fill(ctx, [this](const CacheBlock &victim, unsigned,
-                                   unsigned) {
-                handleLlcVictim(victim);
-            });
+        CacheBlock &filled = llc_->fill(ctx, llcVictim_);
         filled.sharers = 0; // requester added on L1 fill below
         fill_state = access.isWrite ? MesiState::Modified
                                     : MesiState::Exclusive;
@@ -156,11 +160,8 @@ Hierarchy::accessLlc(const MemAccess &access, bool is_upgrade)
 
     // Install in the requester's L1 and record it in the directory.
     const Addr llc_addr = lb->addr;
-    CacheBlock &l1b = l1s_[access.core]->fill(
-        ctx, [this, core = access.core](const CacheBlock &victim,
-                                        unsigned, unsigned) {
-            handleL1Victim(core, victim);
-        });
+    CacheBlock &l1b =
+        l1s_[access.core]->fill(ctx, l1Victims_[access.core]);
     l1b.state = fill_state;
     l1s_[access.core]->setBlockDirty(l1b,
                                      fill_state == MesiState::Modified);

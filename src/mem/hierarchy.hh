@@ -64,6 +64,13 @@ class Hierarchy
     Hierarchy(const HierarchyConfig &config,
               const ReplPolicyFactory &llc_policy);
 
+    // The victim handlers bound at construction capture `this`, so a
+    // Hierarchy can be neither copied nor moved.
+    Hierarchy(const Hierarchy &) = delete;
+    Hierarchy &operator=(const Hierarchy &) = delete;
+    Hierarchy(Hierarchy &&) = delete;
+    Hierarchy &operator=(Hierarchy &&) = delete;
+
     /** Attach an observer to LLC residency events (sharing study). */
     void setLlcObserver(CacheObserver *observer);
 
@@ -135,6 +142,14 @@ class Hierarchy
     HierarchyConfig config_;
     std::vector<std::unique_ptr<Cache>> l1s_;
     std::unique_ptr<Cache> llc_;
+
+    /**
+     * Fill victim handlers, built once here rather than as a
+     * std::function temporary per fill: LLC fills enforce inclusion,
+     * and l1Victims_[c] writes back core c's L1 victims.
+     */
+    Cache::VictimHandler llcVictim_;
+    std::vector<Cache::VictimHandler> l1Victims_;
     std::unique_ptr<DramModel> dram_;
     Trace *capture_ = nullptr;
     SeqNo globalSeq_ = 0;

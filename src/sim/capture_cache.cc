@@ -191,9 +191,6 @@ CaptureCache::CaptureCache()
       memoHits_(group_.addAtomicCounter(
           "memo_hits",
           "captures served from the in-memory resident store")),
-      shimUses_(group_.addAtomicCounter(
-          "shim_uses",
-          "calls through the removed singleton shims (always 0)")),
       mmapMaps_(group_.addAtomicCounter(
           "mmap_maps", "v3 bundles loaded zero-copy via mmap")),
       bytesMapped_(group_.addAtomicCounter(
@@ -497,12 +494,6 @@ CaptureCache::save(const std::string &path, std::uint64_t config_hash,
     });
     ++(ok ? saves_ : saveFailures_);
     return ok;
-}
-
-void
-CaptureCache::noteShimUse()
-{
-    ++shimUses_;
 }
 
 std::uint64_t

@@ -29,9 +29,7 @@
  * requests.  The resident store can be bounded with
  * setResidentBudget(): once the byte footprint of resident captures
  * exceeds the budget, least-recently-used completed entries are
- * dropped (in-flight users keep their shared references).  The old
- * singleton shims are gone; the `shim_uses` counter remains, pinned at
- * zero, so tier-1 can assert no caller regressed onto a shim path.
+ * dropped (in-flight users keep their shared references).
  */
 
 #ifndef CASIM_SIM_CAPTURE_CACHE_HH
@@ -66,7 +64,7 @@ class CaptureCache
      * Counters: disk hits, cold/stale/corrupt misses, saves and save
      * failures, resident-store memo hits, zero-copy map statistics
      * (mmap_maps / bytes_mapped / major_faults), deserializing loads,
-     * v2 adoptions, and the legacy shim_uses (always zero).  All
+     * and v2 adoptions.  All
      * counters are atomic, so the group can be rendered (e.g. by the
      * casimd stats op) while captures are running.
      */
@@ -158,13 +156,6 @@ class CaptureCache
               const CapturedWorkload &captured,
               const CaptureAux *aux = nullptr);
 
-    /**
-     * Count one call through a deprecated singleton shim.  The shims
-     * themselves are gone; the counter stays so tier-1 can assert it
-     * remains zero.
-     */
-    void noteShimUse();
-
   private:
     /**
      * One resident capture; the once_flag serializes concurrent
@@ -206,7 +197,6 @@ class CaptureCache
     stats::AtomicCounter &saves_;
     stats::AtomicCounter &saveFailures_;
     stats::AtomicCounter &memoHits_;
-    stats::AtomicCounter &shimUses_;
     stats::AtomicCounter &mmapMaps_;
     stats::AtomicCounter &bytesMapped_;
     stats::AtomicCounter &deserialized_;

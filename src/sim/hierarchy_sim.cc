@@ -34,6 +34,11 @@ runHierarchy(const Trace &trace, const HierarchyConfig &config,
     SharingTracker tracker(config.numCores);
     hierarchy.setLlcObserver(&tracker);
     hierarchy.setCaptureTrace(capture);
+    // Each demand reference reaches the LLC at most once (a miss or an
+    // upgrade), so the trace length bounds the capture exactly: one
+    // allocation instead of a doubling series of copies.
+    if (capture != nullptr)
+        capture->reserve(capture->size() + trace.size());
     hierarchy.run(trace);
     hierarchy.finish();
 

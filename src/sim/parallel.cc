@@ -38,11 +38,6 @@ ParallelRunner::ParallelRunner(unsigned jobs)
                       "deepest job queue observed", [this] {
                           return static_cast<double>(maxQueueDepth_);
                       });
-    if (jobs_ == 1)
-        return; // serial mode: never touch threading machinery
-    workers_.reserve(jobs_);
-    for (unsigned w = 0; w < jobs_; ++w)
-        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ParallelRunner::~ParallelRunner()
@@ -73,47 +68,111 @@ ParallelRunner::workerLoop()
             job = std::move(queue_.front());
             queue_.pop_front();
         }
-        PhaseTimer timer;
         tls_active_runner = this;
-        job.fn();
+        execute(job);
         tls_active_runner = nullptr;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            taskSeconds_.sample(timer.seconds());
-            ++tasks_;
-            if (--job.batch->pending == 0)
-                batchDone_.notify_all();
-        }
     }
 }
 
 void
-ParallelRunner::runInline(std::size_t n,
-                          const std::function<void(std::size_t)> &task)
+ParallelRunner::execute(const Job &job)
 {
-    // Same semantics as the parallel path: drain every task, keep the
-    // first exception, rethrow once the batch is done.  Stats updates
-    // take the queue mutex because workers of an outer batch may be
-    // sampling concurrently when this is a re-entrant call.
-    std::exception_ptr first_error;
+    PhaseTimer timer;
+    std::exception_ptr error;
+    try {
+        job.fn();
+    } catch (...) {
+        error = std::current_exception();
+    }
+    // Stats updates take the mutex even inline: workers of an outer
+    // batch may be sampling concurrently when this is a nested group.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (error && !job.batch->firstError)
+        job.batch->firstError = error;
+    taskSeconds_.sample(timer.seconds());
+    ++tasks_;
+    if (--job.batch->pending == 0)
+        batchDone_.notify_all();
+}
+
+ParallelRunner::TaskGroup::TaskGroup(ParallelRunner &runner)
+    : runner_(runner), batch_(std::make_shared<Batch>()),
+      inline_(runner.jobs_ == 1 || tls_active_runner == &runner)
+{
+    std::lock_guard<std::mutex> lock(runner_.mutex_);
+    ++runner_.batches_;
+    if (tls_active_runner == &runner_)
+        ++runner_.reentries_;
+}
+
+ParallelRunner::TaskGroup::~TaskGroup()
+{
+    if (waited_)
+        return;
+    std::unique_lock<std::mutex> lock(runner_.mutex_);
+    runner_.batchDone_.wait(lock,
+                            [this] { return batch_->pending == 0; });
+}
+
+void
+ParallelRunner::TaskGroup::spawn(std::size_t n,
+                                 std::function<void(std::size_t)> task)
+{
+    if (inline_) {
+        for (std::size_t i = 0; i < n; ++i)
+            runHere([&task, i] { task(i); });
+        return;
+    }
+    if (n == 0)
+        return;
+    // The queued jobs share one copy of the task: a spawning task's
+    // own frame may be gone before they run.
+    const auto shared =
+        std::make_shared<const std::function<void(std::size_t)>>(
+            std::move(task));
+    // The pool starts with its first queued job, so building a runner
+    // stays cheap and one that only ever runs inline spawns no threads.
+    // Started outside the mutex: the new workers park on workReady_
+    // instead of queueing on a lock the spawner holds.
+    std::call_once(runner_.startWorkers_, [&runner = runner_] {
+        runner.workers_.reserve(runner.jobs_);
+        for (unsigned w = 0; w < runner.jobs_; ++w)
+            runner.workers_.emplace_back([&runner] { runner.workerLoop(); });
+    });
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++batches_;
+        std::lock_guard<std::mutex> lock(runner_.mutex_);
+        batch_->pending += n;
+        for (std::size_t i = 0; i < n; ++i)
+            runner_.queue_.push_back(
+                {[shared, i] { (*shared)(i); }, batch_});
+        runner_.maxQueueDepth_ =
+            std::max(runner_.maxQueueDepth_, runner_.queue_.size());
     }
-    for (std::size_t i = 0; i < n; ++i) {
-        PhaseTimer timer;
-        try {
-            task(i);
-        } catch (...) {
-            if (!first_error)
-                first_error = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        taskSeconds_.sample(timer.seconds());
-        ++tasks_;
+    if (n == 1)
+        runner_.workReady_.notify_one();
+    else
+        runner_.workReady_.notify_all();
+}
+
+void
+ParallelRunner::TaskGroup::runHere(std::function<void()> fn)
+{
+    {
+        std::lock_guard<std::mutex> lock(runner_.mutex_);
+        ++batch_->pending;
     }
-    if (first_error)
-        std::rethrow_exception(first_error);
+    runner_.execute({std::move(fn), batch_});
+}
+
+void
+ParallelRunner::TaskGroup::wait()
+{
+    waited_ = true;
+    std::unique_lock<std::mutex> lock(runner_.mutex_);
+    runner_.batchDone_.wait(lock,
+                            [this] { return batch_->pending == 0; });
+    if (batch_->firstError)
+        std::rethrow_exception(batch_->firstError);
 }
 
 void
@@ -122,52 +181,15 @@ ParallelRunner::run(std::size_t n,
 {
     if (n == 0)
         return;
-    if (tls_active_runner == this) {
-        // Called from inside one of our own tasks: blocking this
-        // worker on the pool could deadlock it, so execute here.
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++reentries_;
-        }
-        runInline(n, task);
-        return;
-    }
-    if (jobs_ == 1 || n == 1) {
-        // The serial code path: inline on the caller, in index order.
-        runInline(n, task);
-        return;
-    }
-
-    // Each run() owns a Batch record shared with its queued jobs, so
-    // concurrent top-level callers interleave on the one pool without
-    // touching each other's completion accounting or error slot.
-    auto batch = std::make_shared<Batch>();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++batches_;
-        batch->pending = n;
-        for (std::size_t i = 0; i < n; ++i) {
-            queue_.push_back({[this, batch, &task, i] {
-                                  try {
-                                      task(i);
-                                  } catch (...) {
-                                      std::lock_guard<std::mutex> guard(
-                                          mutex_);
-                                      if (!batch->firstError)
-                                          batch->firstError =
-                                              std::current_exception();
-                                  }
-                              },
-                              batch});
-        }
-        maxQueueDepth_ = std::max(maxQueueDepth_, queue_.size());
-    }
-    workReady_.notify_all();
-
-    std::unique_lock<std::mutex> lock(mutex_);
-    batchDone_.wait(lock, [&batch] { return batch->pending == 0; });
-    if (batch->firstError)
-        std::rethrow_exception(batch->firstError);
+    // Each run() owns its group's Batch record, so concurrent top-level
+    // callers interleave on the one pool without touching each other's
+    // completion accounting or error slot.
+    TaskGroup group(*this);
+    if (n == 1)
+        group.runHere([&task] { task(0); });
+    else
+        group.spawn(n, task);
+    group.wait();
 }
 
 } // namespace casim

@@ -25,6 +25,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -36,11 +37,14 @@ namespace casim {
 /** Fixed-size worker pool executing indexed tasks deterministically. */
 class ParallelRunner
 {
+    struct Batch;
+
   public:
     /**
      * @param jobs Worker count; 0 and 1 both mean "no threads": tasks
      *             run inline on the caller in index order, which is the
-     *             exact serial code path.
+     *             exact serial code path.  Otherwise the workers start
+     *             when the first job is queued to the pool.
      */
     explicit ParallelRunner(unsigned jobs);
 
@@ -72,6 +76,9 @@ class ParallelRunner
      * (e.g. a sharded replay inside an experiment cell) is detected
      * through a thread-local marker and executed inline on the worker,
      * because a worker blocking on its own pool would deadlock it.
+     *
+     * run() is a TaskGroup (below) of n tasks spawned up front; a
+     * single task runs on the caller.
      */
     void run(std::size_t n, const std::function<void(std::size_t)> &task);
 
@@ -91,6 +98,61 @@ class ParallelRunner
     }
 
     /**
+     * A dynamic batch: tasks are spawned in bursts — also from inside
+     * running tasks of the same group — and wait() returns once every
+     * spawned task has finished, rethrowing the group's first
+     * exception.  spawn() never blocks, so a task can release follow-up
+     * work the moment its inputs exist (the experiment queue's warm
+     * task spawns its identity's cells) instead of the caller fanning
+     * out in barrier-separated phases.
+     *
+     * With jobs() == 1, or when the group is created on a thread that
+     * is running one of this runner's tasks, spawn() runs the task
+     * inline before returning (a nested pool wait could deadlock, as
+     * for run()).  Either way the group counts as one batch.
+     */
+    class TaskGroup
+    {
+      public:
+        explicit TaskGroup(ParallelRunner &runner);
+
+        /**
+         * Waits for spawned tasks (dropping their error) if wait() was
+         * not called, so no task outlives the state it captured.
+         */
+        ~TaskGroup();
+
+        TaskGroup(const TaskGroup &) = delete;
+        TaskGroup &operator=(const TaskGroup &) = delete;
+
+        /**
+         * Queue task(0) ... task(n-1) on the pool in one hand-off (or
+         * run them inline in index order, see above).
+         */
+        void spawn(std::size_t n, std::function<void(std::size_t)> task);
+
+        /**
+         * Run `fn` as a task of this group on the calling thread, now.
+         * For a lone task a pool hand-off would only queue it behind
+         * other batches' work; tasks it spawns still go to the pool.
+         */
+        void runHere(std::function<void()> fn);
+
+        /**
+         * Block until every spawned task, including tasks spawned by
+         * tasks, has finished; rethrow the first exception.  Call it
+         * once, after the caller's last spawn().
+         */
+        void wait();
+
+      private:
+        ParallelRunner &runner_;
+        std::shared_ptr<Batch> batch_;
+        bool inline_;
+        bool waited_ = false;
+    };
+
+    /**
      * Execution counters: batches and tasks run, per-task wall time,
      * the worker count and the deepest queue observed.  Counter and
      * distribution updates are serialized on the queue mutex; read the
@@ -100,11 +162,11 @@ class ParallelRunner
 
   private:
     /**
-     * Accounting one run() call owns: the undone-task count and the
-     * first exception of that batch.  Heap-allocated and shared between
-     * the caller and its queued jobs so concurrent top-level run()
-     * calls never touch each other's state; all fields are guarded by
-     * the runner mutex.
+     * Accounting one TaskGroup (and so one run() call) owns: the
+     * undone-task count and the first exception of that batch.
+     * Heap-allocated and shared between the group and its queued jobs
+     * so concurrent top-level batches never touch each other's state;
+     * all fields are guarded by the runner mutex.
      */
     struct Batch
     {
@@ -123,16 +185,17 @@ class ParallelRunner
     void workerLoop();
 
     /**
-     * Execute a whole batch inline on the calling thread with the
-     * parallel path's semantics: drain every task, collect the first
-     * exception, sample per-task stats, rethrow at the end.  Used for
-     * jobs()==1, single-task batches, and re-entrant run() calls.
+     * Run one job on the calling thread (a worker, or the spawner of
+     * an inline group) and retire it into its batch: keep the batch's
+     * first exception, sample per-task stats, signal a drained batch.
      */
-    void runInline(std::size_t n,
-                   const std::function<void(std::size_t)> &task);
+    void execute(const Job &job);
 
     unsigned jobs_;
     std::vector<std::thread> workers_;
+
+    /** Starts workers_ once, on the first job queued to the pool. */
+    std::once_flag startWorkers_;
 
     std::mutex mutex_;
     std::condition_variable workReady_;

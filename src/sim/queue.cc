@@ -361,6 +361,8 @@ ExperimentQueue::runBatch(const std::vector<ExperimentRequest> &requests)
                 slot->warming = true;
                 owned_items.push_back(i);
             } else {
+                if (!slot->warmed)
+                    ++leaseWaits_;
                 borrowed_items.push_back(i);
             }
         }
@@ -401,46 +403,98 @@ ExperimentQueue::runBatch(const std::vector<ExperimentRequest> &requests)
             index.labelPlane(window, near);
     };
 
-    // Warm phase: one pool task per identity this batch owns the lease
-    // warm of.
-    runner_.run(owned_items.size(), [&](std::size_t k) {
-        const std::size_t i = owned_items[k];
-        // Publish even if the warm throws, so borrowers unblock; their
-        // own capture() retries and reports the same failure.
-        const ScopeExit publish{[&] {
-            std::lock_guard<std::mutex> lock(leaseMutex_);
-            CaptureLease &lease = *leases_.at(warm[i].hash);
-            lease.warming = false;
-            lease.warmed = true;
-            leaseCv_.notify_all();
-        }};
-        warm_one(i);
-    });
-
-    // Wait for the borrowed identities' owners to publish — again on
-    // the submitting thread, so pool workers stay busy with real work.
-    for (const std::size_t i : borrowed_items) {
-        std::unique_lock<std::mutex> lock(leaseMutex_);
-        CaptureLease &lease = *leases_.at(warm[i].hash);
-        if (!lease.warmed) {
-            ++leaseWaits_;
-            leaseCv_.wait(lock, [&lease] { return lease.warmed; });
-        }
-    }
-
-    // Top-up phase: adopt the borrowed captures (memoized) and build
-    // any extra label planes this batch's cells query.
-    runner_.run(borrowed_items.size(), [&](std::size_t k) {
-        warm_one(borrowed_items[k]);
-    });
-
-    // Execution phase: one runner task per unique cell; shard fan-out
-    // nests inline on the same pool.
-    const auto unique_results = runner_.map<ExperimentResult>(
-        unique.size(), [&](std::size_t u) {
-            return executeCell(*unique[u], *captured[warm_of[u]],
-                               &runner_);
+    // Pipelined schedule, one task group, no phase barrier: each warm
+    // task releases its identity's cells to the pool as soon as the
+    // identity is warm, so cells of early identities replay while later
+    // warms still run.  No pool task ever waits on a warm: cells are
+    // only spawned once their capture is in `captured`.
+    std::vector<std::vector<std::size_t>> cells_of(warm.size());
+    for (std::size_t u = 0; u < unique.size(); ++u)
+        cells_of[warm_of[u]].push_back(u);
+    std::vector<ExperimentResult> unique_results(unique.size());
+    ParallelRunner::TaskGroup group(runner_);
+    const auto release_cells = [&](std::size_t i) {
+        group.spawn(cells_of[i].size(), [&, i](std::size_t k) {
+            // Shard fan-out nests inline on the same pool.
+            const std::size_t u = cells_of[i][k];
+            unique_results[u] =
+                executeCell(*unique[u], *captured[i], &runner_);
         });
+    };
+    // Owned identities publish their lease even if the warm throws, so
+    // borrowers unblock; their own capture() retries and reports the
+    // same failure.  Borrowed ones top up: adopt the memoized capture
+    // and build any extra label planes this batch's cells query.
+    const auto warm_owned = [&](std::size_t i) {
+        {
+            const ScopeExit publish{[&] {
+                std::lock_guard<std::mutex> lock(leaseMutex_);
+                CaptureLease &lease = *leases_.at(warm[i].hash);
+                lease.warming = false;
+                lease.warmed = true;
+                leaseCv_.notify_all();
+            }};
+            warm_one(i);
+        }
+        release_cells(i);
+    };
+    const auto top_up = [&](std::size_t i) {
+        warm_one(i);
+        release_cells(i);
+    };
+    // A batch with one identity warms it on the submitting thread, as a
+    // one-task fan-out always did: a pool hand-off would only queue the
+    // warm behind other batches' cells.
+    const auto start = [&](std::vector<std::size_t> items,
+                           const auto &work) {
+        if (items.empty())
+            return;
+        const std::size_t n = items.size();
+        if (warm.size() == 1)
+            group.runHere([&, i = items.front()] { work(i); });
+        else
+            group.spawn(n, [&work, items = std::move(items)](
+                               std::size_t k) { work(items[k]); });
+    };
+
+    try {
+        // Owned identities first: every owned warm is queued ahead of
+        // every cell.
+        start(owned_items, warm_owned);
+
+        // Borrowed identities: wait for their owners to publish on the
+        // submitting thread (never in a pool task — the owner's warm
+        // may not have started, and a task blocked on it could occupy
+        // the very worker it needs), releasing each as it lands.
+        std::vector<std::size_t> pending = std::move(borrowed_items);
+        while (!pending.empty()) {
+            std::vector<std::size_t> landed;
+            {
+                std::unique_lock<std::mutex> lock(leaseMutex_);
+                const auto split = [&] {
+                    const auto warmed = std::stable_partition(
+                        pending.begin(), pending.end(),
+                        [&](std::size_t i) {
+                            return !leases_.at(warm[i].hash)->warmed;
+                        });
+                    landed.assign(warmed, pending.end());
+                    pending.erase(warmed, pending.end());
+                    return !landed.empty();
+                };
+                leaseCv_.wait(lock, split);
+            }
+            start(std::move(landed), top_up);
+        }
+    } catch (...) {
+        // Queued tasks call the lambdas above: let them finish before
+        // this frame unwinds past them.
+        try {
+            group.wait();
+        } catch (...) {
+        }
+        throw;
+    }
+    group.wait();
 
     std::vector<ExperimentResult> results;
     results.reserve(requests.size());

@@ -9,9 +9,11 @@
  * like requirePolicyFactory), dedupes identical cells (two requests
  * with equal canonical JSON run once and share the result), warms the
  * per-workload shared state (capture, next-use index, oracle label
- * planes) in parallel, then fans the unique cells out on the
- * ParallelRunner.  ReplaySpec construction and capture-cache lookup
- * live behind this boundary; benches only see requests and results.
+ * planes) in parallel, and fans the unique cells out on the
+ * ParallelRunner — each identity's cells as soon as its own warm is
+ * done, with no batch-wide barrier.  ReplaySpec construction and
+ * capture-cache lookup live behind this boundary; benches only see
+ * requests and results.
  *
  * The queue's CaptureCache handle is injected (BenchDriver passes the
  * process instance, casimd owns a resident one), so repeated batches

@@ -95,23 +95,6 @@ Trace::operator=(Trace &&other) noexcept
 }
 
 void
-Trace::append(const MemAccess &access)
-{
-    casim_assert(!view_, "cannot append to a trace view (", name_, ")");
-    casim_assert(access.core < numCores_, "core id ",
-                 unsigned(access.core), " out of range in trace ", name_);
-    owned_.push_back(access);
-    data_ = owned_.data();
-    size_ = owned_.size();
-}
-
-void
-Trace::append(Addr addr, PC pc, CoreId core, bool is_write)
-{
-    append(MemAccess{blockAlign(addr), pc, core, is_write});
-}
-
-void
 Trace::reserve(std::size_t n)
 {
     casim_assert(!view_, "cannot reserve on a trace view (", name_, ")");

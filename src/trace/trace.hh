@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "trace/access.hh"
 
 namespace casim {
@@ -60,11 +61,29 @@ class Trace
     Trace(Trace &&other) noexcept;
     Trace &operator=(Trace &&other) noexcept;
 
-    /** Append one reference; core id must be < numCores(). */
-    void append(const MemAccess &access);
+    /**
+     * Append one reference; core id must be < numCores().  Inline: a
+     * capture appends once per LLC reference.
+     */
+    void
+    append(const MemAccess &access)
+    {
+        casim_assert(!view_, "cannot append to a trace view (", name_,
+                     ")");
+        casim_assert(access.core < numCores_, "core id ",
+                     unsigned(access.core), " out of range in trace ",
+                     name_);
+        owned_.push_back(access);
+        data_ = owned_.data();
+        size_ = owned_.size();
+    }
 
     /** Append a block-aligned reference built from fields. */
-    void append(Addr addr, PC pc, CoreId core, bool is_write);
+    void
+    append(Addr addr, PC pc, CoreId core, bool is_write)
+    {
+        append(MemAccess{blockAlign(addr), pc, core, is_write});
+    }
 
     /** Number of references. */
     std::size_t size() const { return size_; }

@@ -148,7 +148,6 @@ TEST(CaptureCache, WarmLoadIsByteIdenticalAcrossAllWorkloads)
     // touch the cache).
     EXPECT_EQ(cache.counter("hits"), workloads);
     EXPECT_EQ(cache.counter("cold_misses"), workloads);
-    EXPECT_EQ(cache.counter("shim_uses"), 0u);
 }
 
 TEST(CaptureCache, TruncatedFileFallsBackToRegeneration)

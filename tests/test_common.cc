@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG, bitops, stats, tables,
- * options.
+ * options, the JSON parser.
  */
 
 #include <sstream>
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bitops.hh"
+#include "common/json.hh"
 #include "common/options.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -311,6 +312,54 @@ TEST(Mix64, IsDeterministicAndSpreads)
     // Consecutive inputs should differ in many bits.
     const auto diff = mix64(100) ^ mix64(101);
     EXPECT_GT(popCount(diff), 16u);
+}
+
+/** `depth` nested arrays around a number: "[[...[1]...]]". */
+std::string
+nestedArrays(std::size_t depth)
+{
+    return std::string(depth, '[') + "1" + std::string(depth, ']');
+}
+
+TEST(Json, NestingUpToTheCapParses)
+{
+    json::Value value;
+    std::string error;
+    ASSERT_TRUE(json::parse(nestedArrays(json::kMaxDepth), value, &error))
+        << error;
+    const json::Value *level = &value;
+    for (unsigned d = 0; d < json::kMaxDepth; ++d) {
+        ASSERT_TRUE(level->isArray());
+        level = &level->array().front();
+    }
+    EXPECT_EQ(level->number(), 1.0);
+
+    // Mixed objects and arrays count alike.
+    std::string mixed;
+    for (unsigned d = 0; d < json::kMaxDepth / 2; ++d)
+        mixed += "{\"k\": [";
+    mixed += "null";
+    for (unsigned d = 0; d < json::kMaxDepth / 2; ++d)
+        mixed += "]}";
+    EXPECT_TRUE(json::parse(mixed, value, &error)) << error;
+}
+
+TEST(Json, NestingBeyondTheCapIsAnError)
+{
+    json::Value value;
+    std::string error;
+    EXPECT_FALSE(
+        json::parse(nestedArrays(json::kMaxDepth + 1), value, &error));
+    EXPECT_NE(error.find("nesting deeper than 64 levels"),
+              std::string::npos)
+        << error;
+
+    // The hostile line that used to overflow the recursive parser's
+    // stack: unterminated, far deeper than any stack allows.
+    EXPECT_FALSE(json::parse(std::string(200000, '['), value, &error));
+    EXPECT_NE(error.find("nesting deeper"), std::string::npos) << error;
+    EXPECT_FALSE(json::parse(std::string(200000, '{'), value, &error));
+    EXPECT_FALSE(error.empty());
 }
 
 } // namespace

@@ -210,6 +210,21 @@ TEST(Daemon, MalformedLinesGetErrorDocuments)
     EXPECT_NE(harness.readResponse().find("pong"), std::string::npos);
 }
 
+TEST(Daemon, DeeplyNestedLineIsABadRequest)
+{
+    // One line of 200 000 '[' used to overflow the recursive JSON
+    // parser's stack and kill the daemon; it must now be an ordinary
+    // bad_request that leaves the connection usable.
+    DaemonHarness harness;
+    writeAll(harness.fd(), std::string(200000, '[') + "\n");
+    const std::string line = harness.readResponse();
+    EXPECT_NE(line.find("\"bad_request\""), std::string::npos) << line;
+    EXPECT_NE(line.find("nesting deeper"), std::string::npos) << line;
+
+    writeAll(harness.fd(), "{\"op\": \"ping\"}\n");
+    EXPECT_NE(harness.readResponse().find("pong"), std::string::npos);
+}
+
 TEST(Daemon, HelloNegotiatesProtocol)
 {
     DaemonHarness harness;

@@ -1,14 +1,19 @@
 /**
  * @file
  * Integration tests for the coherent hierarchy: MESI transitions,
- * directory precision, inclusion, writeback flow and stream capture.
+ * directory precision, inclusion, writeback flow and stream capture,
+ * plus golden digests that pin real workload captures absolutely.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "mem/hierarchy.hh"
 #include "mem/repl/factory.hh"
+#include "sim/experiment.hh"
+#include "sim/hierarchy_sim.hh"
+#include "wgen/registry.hh"
 
 namespace casim {
 namespace {
@@ -320,6 +325,100 @@ TEST(HierarchyProperty, SingleWriterInvariant)
             if (owners == 1)
                 ASSERT_EQ(holders, 1u);
         }
+    }
+}
+
+// Golden capture pins.  Every other capture check compares two code
+// paths of one build (cold vs warm, mmap vs resident, ...), so a change
+// that shifts both sides alike — a MESI directory slip, a lost
+// writeback — would pass them all.  These digests pin the captured LLC
+// stream and every HierarchyRunResult / SharingSummary field of one
+// workload per suite against constants recorded from a known-good
+// build.  A deliberate change to capture results regenerates them (the
+// failure message prints the new digest) and says why.
+
+/** FNV-1a over a capture and every field of its run result. */
+std::uint64_t
+captureDigest(const Trace &stream, const HierarchyRunResult &result)
+{
+    Fnv1a64 h;
+    h.update(static_cast<std::uint64_t>(stream.size()));
+    for (const MemAccess &access : stream) {
+        h.update(static_cast<std::uint64_t>(access.addr));
+        h.update(static_cast<std::uint64_t>(access.pc));
+        h.update(static_cast<std::uint64_t>(access.core));
+        h.update(static_cast<std::uint64_t>(access.isWrite));
+    }
+    h.update(result.demandAccesses);
+    h.update(result.llcAccesses);
+    h.update(result.llcHits);
+    h.update(result.llcMisses);
+    h.update(result.llcMpkr);
+    h.update(result.upgrades);
+    h.update(result.interventions);
+    h.update(result.backInvalidations);
+    h.update(result.memReads);
+    h.update(result.memWritebacks);
+    h.update(static_cast<std::uint64_t>(result.cycles));
+    const SharingSummary &sharing = result.sharing;
+    h.update(sharing.sharedHitFraction);
+    h.update(sharing.sharedHits);
+    h.update(sharing.privateHits);
+    for (const std::uint64_t hits : sharing.classHits)
+        h.update(hits);
+    for (const std::uint64_t residencies : sharing.classResidencies)
+        h.update(residencies);
+    h.update(static_cast<std::uint64_t>(sharing.sharerHits.size()));
+    for (const std::uint64_t hits : sharing.sharerHits)
+        h.update(hits);
+    h.update(sharing.deadResidencies);
+    return h.digest();
+}
+
+struct GoldenCase
+{
+    const char *workload;
+    std::uint64_t llcBytes;
+    std::uint64_t digest;
+};
+
+/**
+ * One workload per suite at the study's capture LLC (4 MiB) and at a
+ * 128 KiB LLC, whose evictions exercise the inclusion victim path
+ * (back-invalidations, LLC writebacks) that the larger LLC never hits
+ * at this scale.
+ */
+constexpr GoldenCase kGoldenCases[] = {
+    {"canneal", 4ull << 20, 0x5a5dc1fa2385d79dull},
+    {"canneal", 128ull << 10, 0x65e1441f8dc0ad6aull},
+    {"ocean", 4ull << 20, 0x45227210b9cf84eaull},
+    {"ocean", 128ull << 10, 0x1a318cfea133fb03ull},
+    {"art_omp", 4ull << 20, 0x36ba2798629b86a9ull},
+    {"art_omp", 128ull << 10, 0x6eba9108a3079370ull},
+};
+
+TEST(HierarchyGolden, CaptureDigestsArePinned)
+{
+    for (const GoldenCase &golden : kGoldenCases) {
+        StudyConfig config;
+        config.workload.scale = 0.02;
+        config.workload.seed = 1;
+        config.llcSmallBytes = golden.llcBytes;
+        const Trace trace =
+            makeWorkloadTrace(golden.workload, config.workload);
+        Trace stream(std::string(golden.workload) + ".llc",
+                     config.workload.threads);
+        const HierarchyRunResult result =
+            runHierarchy(trace, captureHierarchyConfig(config),
+                         requirePolicyFactory("lru"), &stream);
+        ASSERT_EQ(result.llcAccesses, stream.size()) << golden.workload;
+        if (golden.llcBytes < (1ull << 20)) {
+            EXPECT_GT(result.backInvalidations, 0u) << golden.workload;
+        }
+        const std::uint64_t digest = captureDigest(stream, result);
+        EXPECT_EQ(digest, golden.digest)
+            << golden.workload << " @ " << golden.llcBytes
+            << " B: digest 0x" << std::hex << digest;
     }
 }
 

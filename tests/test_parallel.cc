@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the deterministic parallel experiment runner: ordered
- * result collection, serial-path inlining, exception propagation, and
- * bit-identical parallel vs serial workload capture.
+ * result collection, serial-path inlining, exception propagation,
+ * dynamic task groups, and bit-identical parallel vs serial workload
+ * capture.
  */
 
 #include <atomic>
@@ -209,6 +210,61 @@ TEST(ParallelRunner, ConcurrentRunsKeepErrorsPerBatch)
             EXPECT_EQ(out[i], static_cast<int>(i));
     }
     thrower.join();
+}
+
+TEST(ParallelRunner, TaskGroupWaitsForTasksSpawnedByTasks)
+{
+    // A parent task releases children the moment it finishes, as a
+    // queue warm releases its cells; wait() covers both generations.
+    // With one job every spawn runs inline on the caller.
+    for (const unsigned jobs : {1u, 4u}) {
+        ParallelRunner runner(jobs);
+        const auto caller = std::this_thread::get_id();
+        std::atomic<int> parents{0};
+        std::atomic<int> children{0};
+        std::atomic<int> off_caller{0};
+        ParallelRunner::TaskGroup group(runner);
+        group.spawn(8, [&](std::size_t) {
+            ++parents;
+            // The burst outlives this task's frame.
+            group.spawn(4, [&](std::size_t) {
+                ++children;
+                if (std::this_thread::get_id() != caller)
+                    ++off_caller;
+            });
+        });
+        group.wait();
+        EXPECT_EQ(parents.load(), 8) << jobs;
+        EXPECT_EQ(children.load(), 32) << jobs;
+        if (jobs == 1) {
+            EXPECT_EQ(off_caller.load(), 0);
+        }
+        const auto tasks = stats::counterValue(
+            runner.stats().find("runner.tasks"));
+        ASSERT_TRUE(tasks.has_value());
+        EXPECT_EQ(*tasks, 40u) << jobs;
+    }
+}
+
+TEST(ParallelRunner, TaskGroupDrainsThenRethrowsFirstError)
+{
+    for (const unsigned jobs : {1u, 4u}) {
+        ParallelRunner runner(jobs);
+        std::atomic<int> ran{0};
+        ParallelRunner::TaskGroup group(runner);
+        group.spawn(16, [&](std::size_t i) {
+            ++ran;
+            if (i == 5)
+                throw std::runtime_error("group task failed");
+        });
+        EXPECT_THROW(group.wait(), std::runtime_error) << jobs;
+        EXPECT_EQ(ran.load(), 16) << jobs;
+        // The runner stays usable after a failed group.
+        EXPECT_EQ(runner.map<int>(3, [](std::size_t i) {
+                      return static_cast<int>(i);
+                  }).back(),
+                  2);
+    }
 }
 
 TEST(ParallelRunner, RunnerIsReusableAcrossBatches)

@@ -229,6 +229,112 @@ TEST(Queue, ConcurrentBatchesMatchSerialExecution)
     EXPECT_GT(concurrent, 0u);
 }
 
+/** Study-cold style cells over several capture identities: capture
+ * numbers, plain and OPT replay, an oracle-labeled replay (label
+ * planes in the warm) and a sharded replay (nested fan-out). */
+std::vector<ExperimentRequest>
+multiIdentityBatch(const std::vector<std::string> &workloads)
+{
+    std::vector<ExperimentRequest> cells;
+    for (const std::string &name : workloads) {
+        ExperimentRequest capture;
+        capture.kind = "capture";
+        capture.workload = name;
+        capture.config = testConfig();
+        cells.push_back(capture);
+        ExperimentRequest lru = capture;
+        lru.kind = "replay";
+        cells.push_back(lru);
+        ExperimentRequest opt = lru;
+        opt.policy = "opt";
+        cells.push_back(opt);
+        ExperimentRequest oracle = lru;
+        oracle.labeler = "oracle";
+        cells.push_back(oracle);
+        ExperimentRequest sharded = lru;
+        sharded.policy = "srrip";
+        sharded.shards = 2;
+        cells.push_back(sharded);
+    }
+    return cells;
+}
+
+TEST(Queue, PipelinedBatchMatchesSerialRunner)
+{
+    // Each identity's cells start as soon as its own warm publishes,
+    // interleaving with other identities' warms; results must not
+    // depend on that schedule.
+    const std::vector<ExperimentRequest> cells = multiIdentityBatch(
+        {"canneal", "dedup", "ocean", "streamcluster", "swim_omp"});
+    std::vector<std::vector<std::vector<std::string>>> rows[2];
+    const unsigned jobs[2] = {1, 4};
+    for (int r = 0; r < 2; ++r) {
+        CaptureCache cache;
+        ParallelRunner runner(jobs[r]);
+        ExperimentQueue queue(cache, runner);
+        for (const ExperimentResult &result : queue.runBatch(cells))
+            rows[r].push_back(result.toRows());
+        EXPECT_EQ(counterValue(queue.stats(), "queue.lease_warms"), 5u);
+        EXPECT_EQ(counterValue(queue.stats(), "queue.lease_waits"), 0u);
+        // One warm task per identity plus one task per cell.
+        const auto tasks =
+            stats::counterValue(runner.stats().find("runner.tasks"));
+        ASSERT_TRUE(tasks.has_value());
+        EXPECT_GE(*tasks, 5u + cells.size());
+    }
+    ASSERT_EQ(rows[0].size(), cells.size());
+    EXPECT_EQ(rows[0], rows[1]);
+}
+
+TEST(Queue, ConcurrentBatchesSharingIdentitiesWarmEachOnce)
+{
+    // Three submitters whose batches pairwise share identities, so each
+    // batch owns some warms and borrows others (waiting, then topping
+    // up label planes) while its owned identities' cells already run.
+    const std::vector<std::vector<std::string>> names = {
+        {"canneal", "dedup"}, {"dedup", "ocean"}, {"ocean", "canneal"}};
+    std::vector<std::vector<ExperimentRequest>> batches;
+    for (const auto &pair : names)
+        batches.push_back(multiIdentityBatch(pair));
+
+    using Rows = std::vector<std::vector<std::string>>;
+    std::vector<std::vector<Rows>> expected(batches.size());
+    {
+        CaptureCache cache;
+        ParallelRunner runner(1);
+        ExperimentQueue queue(cache, runner);
+        for (std::size_t b = 0; b < batches.size(); ++b)
+            for (const auto &result : queue.runBatch(batches[b]))
+                expected[b].push_back(result.toRows());
+    }
+
+    CaptureCache cache;
+    ParallelRunner runner(4);
+    ExperimentQueue queue(cache, runner);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> submitters;
+    for (std::size_t b = 0; b < batches.size(); ++b)
+        submitters.emplace_back([&, b] {
+            ++ready;
+            while (ready.load() < 3) // start together
+                std::this_thread::yield();
+            for (int round = 0; round < 3; ++round) {
+                std::vector<Rows> rows;
+                for (const auto &result : queue.runBatch(batches[b]))
+                    rows.push_back(result.toRows());
+                EXPECT_EQ(rows, expected[b]) << "batch " << b;
+            }
+        });
+    for (auto &thread : submitters)
+        thread.join();
+
+    // Every identity warmed exactly once, however the batches overlap.
+    EXPECT_EQ(counterValue(queue.stats(), "queue.lease_warms"),
+              cache.residentCounter("entries"));
+    EXPECT_EQ(cache.residentCounter("entries"), 3u);
+    EXPECT_EQ(cache.residentCounter("evictions"), 0u);
+}
+
 TEST(Queue, QuiesceBlocksNewBatchesUntilReleased)
 {
     CaptureCache cache;
