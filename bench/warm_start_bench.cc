@@ -18,20 +18,21 @@
  *     with a trace several times the budget.
  *
  *   warm_start_bench [google-benchmark flags]
- *     BM_WarmStartMapped / BM_WarmStartDeserialized: latency of a warm
- *     load via mmap (header validation + first/last page touch) vs the
- *     fully deserializing fallback reader, over the same bundle.
+ *     BM_WarmStartMapped / BM_WarmStartRead: latency of a warm load of
+ *     the same bundle through the one v3 decoder, over a mapping
+ *     (header validation + first/last page touch) vs a read buffer
+ *     (the CASIM_NO_MMAP backing: a full read plus the section
+ *     verification pass).
  */
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <memory>
 #include <random>
 #include <string>
-#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -118,9 +119,14 @@ doReplay(const Options &options)
         return 1;
     }
 
-    MappedCaptureBundle mapped;
+    // Always mapped, even under CASIM_NO_MMAP: the budget check is
+    // about the mapped view's streaming pager.
     std::string error;
-    if (!mapCaptureBundleV3(in, kBenchHash, mapped, &error)) {
+    const std::shared_ptr<const MappedFile> file =
+        MappedFile::map(in, &error);
+    MappedCaptureBundle mapped;
+    if (file == nullptr ||
+        !decodeCaptureBundleV3(file, kBenchHash, mapped, &error)) {
         std::cerr << "FATAL: cannot map " << in << ": " << error
                   << "\n";
         return 1;
@@ -137,13 +143,13 @@ doReplay(const Options &options)
     std::cout << "{\"schema\": \"casim-warm-start-v1\", \"records\": "
               << mapped.stream.size() << ", \"misses\": "
               << sim.misses() << ", \"bytes_mapped\": "
-              << mapped.bytesMapped << ", \"max_rss_bytes\": " << rss
+              << file->size() << ", \"max_rss_bytes\": " << rss
               << ", \"budget_bytes\": " << budget << "}\n";
     if (budget != 0 && rss > budget) {
         std::cerr << "FATAL: max RSS " << (rss >> 20)
                   << " MB exceeds the " << (budget >> 20)
                   << " MB budget (trace "
-                  << (mapped.bytesMapped >> 20) << " MB mapped)\n";
+                  << (file->size() >> 20) << " MB mapped)\n";
         return 1;
     }
     return 0;
@@ -178,45 +184,46 @@ benchBundle()
     return path;
 }
 
+/** Load the bench bundle through `open` and the shared decoder. */
 void
-BM_WarmStartMapped(benchmark::State &state)
+warmStart(benchmark::State &state,
+          std::shared_ptr<const MappedFile> (*open)(const std::string &,
+                                                    std::string *))
 {
     const std::string &path = benchBundle();
     std::uint64_t bytes = 0;
     for (auto _ : state) {
-        MappedCaptureBundle mapped;
-        if (!mapCaptureBundleV3(path, kBenchHash, mapped, nullptr))
-            state.SkipWithError("map failed");
-        // Touch the ends so the measurement includes real page faults,
+        const std::shared_ptr<const MappedFile> file =
+            open(path, nullptr);
+        MappedCaptureBundle loaded;
+        if (file == nullptr ||
+            !decodeCaptureBundleV3(file, kBenchHash, loaded, nullptr)) {
+            state.SkipWithError("load failed");
+            break;
+        }
+        // Touch the ends so a mapped load includes real page faults,
         // not just the mmap bookkeeping.
-        benchmark::DoNotOptimize(mapped.stream[0].addr);
+        benchmark::DoNotOptimize(loaded.stream[0].addr);
         benchmark::DoNotOptimize(
-            mapped.stream[mapped.stream.size() - 1].addr);
-        bytes += mapped.bytesMapped;
+            loaded.stream[loaded.stream.size() - 1].addr);
+        bytes += file->size();
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+
+void
+BM_WarmStartMapped(benchmark::State &state)
+{
+    warmStart(state, &MappedFile::map);
 }
 BENCHMARK(BM_WarmStartMapped);
 
 void
-BM_WarmStartDeserialized(benchmark::State &state)
+BM_WarmStartRead(benchmark::State &state)
 {
-    const std::string &path = benchBundle();
-    std::uint64_t records = 0;
-    for (auto _ : state) {
-        std::ifstream is(path, std::ios::binary);
-        std::vector<std::uint64_t> meta;
-        Trace loaded("", 1);
-        CaptureAux aux;
-        if (!readCaptureBundleV3(is, kBenchHash, meta, loaded, nullptr,
-                                 &aux))
-            state.SkipWithError("read failed");
-        benchmark::DoNotOptimize(loaded.data());
-        records += loaded.size();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(records));
+    warmStart(state, &MappedFile::read);
 }
-BENCHMARK(BM_WarmStartDeserialized);
+BENCHMARK(BM_WarmStartRead);
 
 } // namespace
 

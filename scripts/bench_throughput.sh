@@ -58,7 +58,7 @@ micro_args=(
 [ "$smoke" -eq 1 ] && micro_args+=(--benchmark_min_time=0.05)
 "$micro" "${micro_args[@]}"
 
-echo "== warm-start: map vs deserialize latency =="
+echo "== warm-start: map vs read latency =="
 warm_args=(
     --benchmark_filter='BM_WarmStart'
     --benchmark_repetitions="$reps"
@@ -188,12 +188,11 @@ if legacy and batched:
           f"{legacy / 1e6:.2f}M legacy ({batched / legacy:.2f}x)")
 
 mapped_ns = warm_rates.get("BM_WarmStartMapped", {}).get("cpu_time_ns")
-deser_ns = warm_rates.get(
-    "BM_WarmStartDeserialized", {}).get("cpu_time_ns")
-if mapped_ns and deser_ns:
+read_ns = warm_rates.get("BM_WarmStartRead", {}).get("cpu_time_ns")
+if mapped_ns and read_ns:
     print(f"warm start: {mapped_ns / 1e3:.1f}us mapped vs "
-          f"{deser_ns / 1e6:.1f}ms deserialized "
-          f"({deser_ns / mapped_ns:.0f}x)")
+          f"{read_ns / 1e6:.1f}ms read "
+          f"({read_ns / mapped_ns:.0f}x)")
 print(f"out-of-core max RSS: {warm_rss['max_rss_bytes'] >> 20}MB over "
       f"{warm_rss['bytes_mapped'] >> 20}MB mapped "
       f"(budget {warm_rss['budget_bytes'] >> 20}MB)")

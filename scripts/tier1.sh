@@ -66,7 +66,7 @@ echo "== tier-1: mmap'd trace substrate, zero-deserialization warm start =="
 # The CCAP v3 substrate: a cold fig7 run persists v3 bundles, and the
 # warm repeat must (a) be byte-identical, (b) perform zero bundle
 # deserialization (everything arrives through mmap), and (c) match the
-# CASIM_NO_MMAP=1 fully-resident fallback byte for byte.  The capture
+# CASIM_NO_MMAP=1 read backing byte for byte.  The capture
 # caches above ran at scale 0.05; this block re-runs fig7 at scale 0.2
 # so the substrate is exercised on the full acceptance workload.
 subdir="${capdir}/substrate-cache"
@@ -105,8 +105,8 @@ if [ "${CASIM_NO_MMAP:-}" = "" ]; then
         exit 1
     fi
 else
-    # The no-mmap CI job: every warm load must take the resident
-    # fallback instead of the mapped path.
+    # The no-mmap CI job: every warm load must read the bundle into a
+    # resident buffer instead of mapping it.
     if [ "${warm_maps}" -ne 0 ] || [ "${warm_deser}" -lt 1 ]; then
         echo "FATAL: CASIM_NO_MMAP warm start still mapped bundles" \
             "(mmap_maps=${warm_maps} deserialized=${warm_deser})" >&2
@@ -116,11 +116,11 @@ fi
 nommap_deser=$(stat_counter "${capdir}/sub_nommap.json" \
     capture_cache.deserialized)
 if [ "${nommap_deser}" -lt 1 ]; then
-    echo "FATAL: CASIM_NO_MMAP run did not take the fallback path" >&2
+    echo "FATAL: CASIM_NO_MMAP run did not take the read path" >&2
     exit 1
 fi
 echo "warm start: ${warm_maps} bundles mapped (${warm_bytes} bytes)," \
-    "zero deserialization"
+    "${warm_deser} read"
 
 echo "== tier-1: out-of-core replay stays under the RSS budget =="
 # A trace 4x the RSS budget must replay with flat memory through the

@@ -7,7 +7,6 @@
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include <sys/resource.h>
@@ -42,8 +41,8 @@ isStaleBundleError(const std::string &why)
  * into the config hash so a change invalidates every existing cache
  * file instead of misinterpreting it.  Version 2: bundles embed the
  * next-use chain + label planes.  Deliberately NOT bumped for CCAP v3
- * — the semantics are unchanged, and keeping the hash stable is what
- * lets v2 bundles be adopted read-only instead of rejected as stale.
+ * — the semantics are unchanged; the bundle version word alone makes
+ * an older layout a stale miss.
  */
 constexpr std::uint64_t kCaptureMetaVersion = 2;
 
@@ -161,15 +160,6 @@ residentFootprintBytes(const CapturedWorkload &captured)
     return bytes;
 }
 
-/** Label-plane code bytes a mapped bundle serves zero-copy. */
-std::uint64_t
-mappedPlaneBytes(const MappedCaptureBundle &bundle)
-{
-    if (bundle.aux == nullptr)
-        return 0;
-    return bundle.aux->planes.size() * bundle.aux->count;
-}
-
 } // namespace
 
 CaptureCache::CaptureCache()
@@ -197,10 +187,7 @@ CaptureCache::CaptureCache()
           "bytes_mapped", "bundle file bytes mapped (not read) on load")),
       deserialized_(group_.addAtomicCounter(
           "deserialized",
-          "bundle loads that deserialized record by record (v3 "
-          "no-mmap fallback or v2 adoption)")),
-      v2Adopted_(group_.addAtomicCounter(
-          "v2_adopted", "legacy v2 bundles adopted read-only")),
+          "bundle loads read into a resident buffer (CASIM_NO_MMAP)")),
       residentGroup_("resident_store"),
       evictions_(residentGroup_.addAtomicCounter(
           "evictions", "resident captures dropped by the byte budget")),
@@ -380,83 +367,33 @@ bool
 CaptureCache::load(const std::string &path, std::uint64_t config_hash,
                    CapturedWorkload &out, std::string *why)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
+    // CASIM_NO_MMAP reads the whole bundle into a resident buffer; the
+    // decoder is the same either way, and so is the result.
+    const bool read_backed = mmapDisabled();
+    std::string error;
+    std::shared_ptr<const MappedFile> file =
+        read_backed ? MappedFile::read(path, &error)
+                    : MappedFile::map(path, &error);
+    if (file == nullptr && error == "cannot open") {
         // The normal cold path: nothing cached yet, nothing to warn
         // about.
         ++coldMisses_;
         if (why != nullptr)
-            *why = "cannot open";
+            *why = error;
         return false;
     }
 
-    const std::uint32_t version = peekBundleVersion(path);
-    std::string error;
-    bool ok = false;
-    bool deserializing_load = false;
-    bool v2_load = false;
-    std::uint64_t mapped_bytes = 0;
-    std::uint64_t mapped_plane_bytes = 0;
+    const std::uint64_t file_bytes = file == nullptr ? 0 : file->size();
+    MappedCaptureBundle bundle;
     CapturedWorkload loaded;
+    if (file == nullptr)
+        error = "cannot load bundle (" + error + ")";
+    else if (decodeCaptureBundleV3(std::move(file), config_hash, bundle,
+                                   &error) &&
+             !unpackMeta(bundle.meta, loaded))
+        error = "inconsistent bundle meta";
 
-    if (version == kBundleVersion3 && !mmapDisabled()) {
-        MappedCaptureBundle bundle;
-        ok = mapCaptureBundleV3(path, config_hash, bundle, &error);
-        if (ok && !unpackMeta(bundle.meta, loaded)) {
-            ok = false;
-            error = "inconsistent bundle meta";
-        }
-        if (ok) {
-            mapped_bytes = bundle.bytesMapped;
-            mapped_plane_bytes = mappedPlaneBytes(bundle);
-            loaded.stream = std::move(bundle.stream);
-            if (bundle.aux != nullptr &&
-                (bundle.aux->nextUse != nullptr ||
-                 !bundle.aux->planes.empty()))
-                loaded.nextUseAux = std::move(bundle.aux);
-        }
-    } else if (version == kBundleVersion3) {
-        // CASIM_NO_MMAP: the fully-resident fallback, byte-identical
-        // to the mapped view (and verifying every section checksum).
-        std::vector<std::uint64_t> meta;
-        Trace stream{"", 1};
-        CaptureAux aux;
-        ok = readCaptureBundleV3(is, config_hash, meta, stream, &error,
-                                 &aux);
-        if (ok && !unpackMeta(meta, loaded)) {
-            ok = false;
-            error = "inconsistent bundle meta";
-        }
-        if (ok) {
-            deserializing_load = true;
-            loaded.stream = std::move(stream);
-            if (!aux.empty())
-                loaded.nextUseAux = auxViewOf(
-                    std::make_shared<const CaptureAux>(std::move(aux)));
-        }
-    } else {
-        // v2 (and anything unrecognized, which the legacy reader
-        // rejects with the canonical error strings): adopt read-only.
-        std::vector<std::uint64_t> meta;
-        Trace stream{"", 1};
-        CaptureAux aux;
-        ok = readCaptureBundle(is, config_hash, meta, stream, &error,
-                               &aux);
-        if (ok && !unpackMeta(meta, loaded)) {
-            ok = false;
-            error = "inconsistent bundle meta";
-        }
-        if (ok) {
-            deserializing_load = true;
-            v2_load = true;
-            loaded.stream = std::move(stream);
-            if (!aux.empty())
-                loaded.nextUseAux = auxViewOf(
-                    std::make_shared<const CaptureAux>(std::move(aux)));
-        }
-    }
-
-    if (!ok) {
+    if (!error.empty()) {
         const bool stale = isStaleBundleError(error);
         ++(stale ? staleMisses_ : corruptMisses_);
         casim_warn("capture cache: ignoring ",
@@ -467,17 +404,20 @@ CaptureCache::load(const std::string &path, std::uint64_t config_hash,
         return false;
     }
 
+    loaded.stream = std::move(bundle.stream);
+    const CaptureAuxView &aux = *bundle.aux;
+    const std::uint64_t plane_bytes = aux.planes.size() * aux.count;
+    if (aux.nextUse != nullptr || !aux.planes.empty())
+        loaded.nextUseAux = std::move(bundle.aux);
     out = std::move(loaded);
     ++hits_;
-    if (mapped_bytes != 0) {
-        ++mmapMaps_;
-        bytesMapped_ += mapped_bytes;
-        noteLabelPlaneMappedBytes(mapped_plane_bytes);
-    }
-    if (deserializing_load)
+    if (read_backed) {
         ++deserialized_;
-    if (v2_load)
-        ++v2Adopted_;
+    } else {
+        ++mmapMaps_;
+        bytesMapped_ += file_bytes;
+        noteLabelPlaneMappedBytes(plane_bytes);
+    }
     if (why != nullptr)
         why->clear();
     return true;

@@ -14,13 +14,10 @@
  * regeneration.  Output is therefore byte-identical with the cache
  * cold, warm, or disabled.
  *
- * Saves write the mmap-friendly CCAP v3 layout; loads dispatch on the
- * bundle's version word.  A v3 bundle is mapped zero-copy (the warm
- * default: no deserialization, the stream/chain/planes are views into
- * the mapping) unless CASIM_NO_MMAP forces the fully-resident stream
- * reader; a v2 bundle is adopted read-only through the legacy reader
- * and only counted `stale` when its version is unknown, never merely
- * for being v2.
+ * Saves write the mmap-friendly CCAP v3 layout, and loads decode it
+ * zero-copy: the stream, chain and planes are views into the bundle
+ * file, mapped by default and read into a resident buffer under
+ * CASIM_NO_MMAP.  A bundle of any other version is a stale miss.
  *
  * The cache is an injected handle, not a process singleton: a
  * CaptureCache instance owns its own counters and an in-memory
@@ -63,10 +60,10 @@ class CaptureCache
     /**
      * Counters: disk hits, cold/stale/corrupt misses, saves and save
      * failures, resident-store memo hits, zero-copy map statistics
-     * (mmap_maps / bytes_mapped / major_faults), deserializing loads,
-     * and v2 adoptions.  All
-     * counters are atomic, so the group can be rendered (e.g. by the
-     * casimd stats op) while captures are running.
+     * (mmap_maps / bytes_mapped / major_faults) and read-backed loads
+     * (deserialized).  All counters are atomic, so the group can be
+     * rendered (e.g. by the casimd stats op) while captures are
+     * running.
      */
     stats::StatGroup &stats() { return group_; }
 
@@ -126,8 +123,8 @@ class CaptureCache
     void unpinResident(std::uint64_t hash);
 
     /**
-     * Try to load a cached capture bundle from disk, dispatching on the
-     * bundle version (v3 mapped / v3 stream fallback / v2 adopted).
+     * Try to load a cached capture bundle from disk: mapped, or read
+     * into a resident buffer under CASIM_NO_MMAP.
      *
      * @param path        Cache-file path.
      * @param config_hash Expected configuration fingerprint.
@@ -200,7 +197,6 @@ class CaptureCache
     stats::AtomicCounter &mmapMaps_;
     stats::AtomicCounter &bytesMapped_;
     stats::AtomicCounter &deserialized_;
-    stats::AtomicCounter &v2Adopted_;
 
     stats::StatGroup residentGroup_;
     stats::AtomicCounter &evictions_;

@@ -555,22 +555,43 @@ void
 ExperimentDaemon::serveConnection(int fd, int out_fd)
 {
     countConnection();
+    const auto overlong = [this] {
+        countError();
+        return errorDocument("request line exceeds " +
+                                 std::to_string(kMaxLineBytes) + " bytes",
+                             "bad_request");
+    };
     std::string buffer;
+    // buffer[0, scanned) holds no newline, so each byte is searched
+    // once however slowly a long line arrives.
+    std::size_t scanned = 0;
+    // Set once an overlong line is answered: its bytes up to the next
+    // newline are dropped as they arrive.
+    bool skipping = false;
     char chunk[4096];
     bool open = true;
     while (open) {
         // Drain every complete line already buffered: requests that
         // were read are always answered, even during shutdown.
         std::string::size_type pos;
-        while ((pos = buffer.find('\n')) != std::string::npos) {
+        while ((pos = buffer.find('\n', scanned)) != std::string::npos) {
             std::string line = buffer.substr(0, pos);
             buffer.erase(0, pos + 1);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            if (line.find_first_not_of(" \t") == std::string::npos)
+            scanned = 0;
+            if (skipping) {
+                skipping = false;
                 continue;
+            }
             std::string out;
-            handleLine(line, out);
+            if (line.size() > kMaxLineBytes) {
+                out = overlong();
+            } else {
+                if (!line.empty() && line.back() == '\r')
+                    line.pop_back();
+                if (line.find_first_not_of(" \t") == std::string::npos)
+                    continue;
+                handleLine(line, out);
+            }
             if (!writeAll(out_fd, out)) {
                 open = false;
                 break;
@@ -578,6 +599,14 @@ ExperimentDaemon::serveConnection(int fd, int out_fd)
         }
         if (!open)
             break;
+        scanned = buffer.size();
+        if (buffer.size() > kMaxLineBytes) {
+            if (!skipping && !writeAll(out_fd, overlong()))
+                break;
+            skipping = true;
+            buffer.clear();
+            scanned = 0;
+        }
         if (signalPending())
             requestStop();
         if (stopping())

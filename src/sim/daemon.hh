@@ -62,6 +62,14 @@ inline constexpr unsigned kProtocolVersion = 2;
  */
 inline constexpr std::size_t kSweepExpansionCap = 1024;
 
+/**
+ * Hard cap on one request line's bytes (before its newline).  A longer
+ * line is answered with a "bad_request" error and skipped through its
+ * newline, so a client can never grow the daemon's line buffer without
+ * bound.  8 MiB is ~25x the largest line any bench sends.
+ */
+inline constexpr std::size_t kMaxLineBytes = std::size_t{8} << 20;
+
 /** The persistent experiment service process. */
 class ExperimentDaemon
 {

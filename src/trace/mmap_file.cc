@@ -5,7 +5,9 @@
 
 #include "trace/mmap_file.hh"
 
+#include <cerrno>
 #include <cstdlib>
+#include <new>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -18,6 +20,10 @@ namespace casim {
 
 namespace {
 
+/** Alignment of a read buffer: the v3 section alignment, so sections
+ *  sit as page-aligned in memory as they do in a mapping. */
+constexpr std::size_t kReadAlign = 4096;
+
 std::size_t
 pageSize()
 {
@@ -27,6 +33,33 @@ pageSize()
                         : std::size_t{4096};
     }();
     return size;
+}
+
+/**
+ * Open `path` and size it: the descriptor, or -1 with `error` set.
+ * Both backings share this, so their failures read the same.
+ */
+int
+openNonEmpty(const std::string &path, std::size_t &size,
+             std::string *error)
+{
+    const auto fail = [&](const char *what, int fd) {
+        if (fd >= 0)
+            ::close(fd);
+        if (error != nullptr)
+            *error = what;
+        return -1;
+    };
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return fail("cannot open", fd);
+    struct stat st = {};
+    if (::fstat(fd, &st) != 0 || st.st_size < 0)
+        return fail("cannot stat", fd);
+    size = static_cast<std::size_t>(st.st_size);
+    if (size == 0)
+        return fail("empty file", fd);
+    return fd;
 }
 
 } // namespace
@@ -45,52 +78,78 @@ mmapDisabled()
 #endif
 }
 
-MappedFile::MappedFile(const std::uint8_t *data, std::size_t size)
-    : data_(data), size_(size)
+MappedFile::MappedFile(const std::uint8_t *data, std::size_t size,
+                       bool mapped)
+    : data_(data), size_(size), mapped_(mapped)
 {
 }
 
 MappedFile::~MappedFile()
 {
-    if (data_ != nullptr)
+    if (mapped_)
         ::munmap(const_cast<std::uint8_t *>(data_), size_);
+    else
+        ::operator delete(const_cast<std::uint8_t *>(data_),
+                          std::align_val_t{kReadAlign});
 }
 
 std::shared_ptr<const MappedFile>
 MappedFile::map(const std::string &path, std::string *error)
 {
-    const auto fail = [&](const char *what) {
-        if (error != nullptr)
-            *error = what;
-        return std::shared_ptr<const MappedFile>();
-    };
-
-    const int fd = ::open(path.c_str(), O_RDONLY);
+    std::size_t size = 0;
+    const int fd = openNonEmpty(path, size, error);
     if (fd < 0)
-        return fail("cannot open");
-    struct stat st = {};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-        ::close(fd);
-        return fail("cannot stat");
-    }
-    const auto size = static_cast<std::size_t>(st.st_size);
-    if (size == 0) {
-        ::close(fd);
-        return fail("empty file");
-    }
+        return nullptr;
     void *base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
     ::close(fd); // the mapping keeps its own reference
-    if (base == MAP_FAILED)
-        return fail("mmap failed");
+    if (base == MAP_FAILED) {
+        if (error != nullptr)
+            *error = "mmap failed";
+        return nullptr;
+    }
     if (error != nullptr)
         error->clear();
     return std::shared_ptr<const MappedFile>(new MappedFile(
-        static_cast<const std::uint8_t *>(base), size));
+        static_cast<const std::uint8_t *>(base), size, true));
+}
+
+std::shared_ptr<const MappedFile>
+MappedFile::read(const std::string &path, std::string *error)
+{
+    std::size_t size = 0;
+    const int fd = openNonEmpty(path, size, error);
+    if (fd < 0)
+        return nullptr;
+    auto *buffer = static_cast<std::uint8_t *>(
+        ::operator new(size, std::align_val_t{kReadAlign}));
+    // Owned from here on, so every failure below frees the buffer.
+    std::shared_ptr<const MappedFile> file(
+        new MappedFile(buffer, size, false));
+    std::size_t done = 0;
+    while (done < size) {
+        const ssize_t n = ::read(fd, buffer + done, size - done);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        done += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    if (done != size) {
+        if (error != nullptr)
+            *error = "short read";
+        return nullptr;
+    }
+    if (error != nullptr)
+        error->clear();
+    return file;
 }
 
 void
 MappedFile::adviseSequential() const
 {
+    if (!mapped_)
+        return;
     ::madvise(const_cast<std::uint8_t *>(data_), size_,
               MADV_SEQUENTIAL);
 }
@@ -98,7 +157,7 @@ MappedFile::adviseSequential() const
 void
 MappedFile::willNeed(std::size_t offset, std::size_t len) const
 {
-    if (len == 0 || offset >= size_)
+    if (!mapped_ || len == 0 || offset >= size_)
         return;
     const std::size_t page = pageSize();
     const std::size_t begin = offset & ~(page - 1);
@@ -111,7 +170,9 @@ MappedFile::willNeed(std::size_t offset, std::size_t len) const
 void
 MappedFile::dontNeed(std::size_t offset, std::size_t len) const
 {
-    if (len == 0 || offset >= size_)
+    // Never on a read buffer: MADV_DONTNEED zero-fills anonymous
+    // memory, which would silently rewrite the trace under a replay.
+    if (!mapped_ || len == 0 || offset >= size_)
         return;
     const std::size_t page = pageSize();
     // Clamp inward: only whole pages fully inside the range.

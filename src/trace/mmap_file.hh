@@ -1,22 +1,25 @@
 /**
  * @file
- * Read-only memory-mapped file support for the out-of-core trace
- * substrate.
+ * Read-only whole-file buffers for the out-of-core trace substrate.
  *
- * MappedFile is the RAII mapping; TracePager turns record-unit ranges
- * of a mapped trace section into page-clamped madvise() calls; and
- * PageCursor is the forward streaming helper the replay loops thread a
- * trace position through, so a replay keeps only O(epoch + window)
- * trace pages resident: as the cursor crosses an epoch boundary it
- * MADV_WILLNEEDs the next epoch and (optionally) MADV_DONTNEEDs the
- * epochs it has finished.  All advice is a pure hint on a read-only
- * private file mapping — dropped pages refault from the page cache with
- * identical content — so the advised and unadvised paths are
- * byte-identical by construction.
+ * MappedFile holds one file's bytes, either as a read-only private
+ * mapping (map(), the default) or as an owned buffer the file was read
+ * into (read(), the CASIM_NO_MMAP path); the CCAP v3 decoder runs the
+ * same code over both.  TracePager turns record-unit ranges of a trace
+ * section into page-clamped madvise() calls; and PageCursor is the
+ * forward streaming helper the replay loops thread a trace position
+ * through, so a replay of a mapped bundle keeps only
+ * O(epoch + window) trace pages resident: as the cursor crosses an
+ * epoch boundary it MADV_WILLNEEDs the next epoch and (optionally)
+ * MADV_DONTNEEDs the epochs it has finished.  All advice is a pure
+ * hint on a read-only private file mapping — dropped pages refault
+ * from the page cache with identical content — so the advised and
+ * unadvised paths are byte-identical by construction.  A read buffer
+ * takes no advice at all: MADV_DONTNEED on anonymous memory would
+ * zero-fill it.
  *
  * CASIM_NO_MMAP (a CMake option and an environment variable, mirroring
- * CASIM_NO_SIMD) disables mapping entirely; callers then fall back to
- * the fully resident stream-deserialization path.
+ * CASIM_NO_SIMD) makes callers read bundles instead of mapping them.
  */
 
 #ifndef CASIM_TRACE_MMAP_FILE_HH
@@ -37,16 +40,29 @@ namespace casim {
  */
 bool mmapDisabled();
 
-/** One read-only private mapping of a whole file. */
+/**
+ * A whole file's bytes, read-only: a private mapping or an owned
+ * buffer.  Both backings expose the same data()/size(), aligned to at
+ * least 4096 bytes, so every page-aligned section can hold MemAccess
+ * records in place.
+ */
 class MappedFile
 {
   public:
     /**
      * Map `path` read-only; returns null and sets `error` on failure
-     * (missing file, empty file, mmap failure).
+     * ("cannot open" for a missing or unreadable file; empty file,
+     * mmap failure).
      */
     static std::shared_ptr<const MappedFile>
     map(const std::string &path, std::string *error = nullptr);
+
+    /**
+     * Read all of `path` into an owned 4096-aligned buffer; failures
+     * as for map() ("cannot open", empty file, short read).
+     */
+    static std::shared_ptr<const MappedFile>
+    read(const std::string &path, std::string *error = nullptr);
 
     ~MappedFile();
 
@@ -56,15 +72,19 @@ class MappedFile
     /** First mapped byte. */
     const std::uint8_t *data() const { return data_; }
 
-    /** Mapped length in bytes (the file size at map time). */
+    /** Length in bytes (the file size at map or read time). */
     std::size_t size() const { return size_; }
+
+    /** True for a mapping, false for a read buffer. */
+    bool isMapped() const { return mapped_; }
 
     /** Hint sequential access over the whole mapping. */
     void adviseSequential() const;
 
     /**
      * Hint that [offset, offset + len) will be needed soon.  The range
-     * is clamped outward to page boundaries and to the mapping.
+     * is clamped outward to page boundaries and to the mapping.  Like
+     * every hint here, a no-op on a read buffer.
      */
     void willNeed(std::size_t offset, std::size_t len) const;
 
@@ -77,10 +97,11 @@ class MappedFile
     void dontNeed(std::size_t offset, std::size_t len) const;
 
   private:
-    MappedFile(const std::uint8_t *data, std::size_t size);
+    MappedFile(const std::uint8_t *data, std::size_t size, bool mapped);
 
     const std::uint8_t *data_ = nullptr;
     std::size_t size_ = 0;
+    bool mapped_ = true;
 };
 
 /**

@@ -12,6 +12,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -38,6 +39,13 @@ constexpr std::uint64_t kV3HeaderBytes = 96;
 
 /** v3 record stride: the native MemAccess layout. */
 constexpr std::uint32_t kV3RecordStride = sizeof(MemAccess);
+
+/** Whether mapped loads verify every data section too. */
+#ifdef CASIM_PARANOID
+constexpr bool kVerifyMappedSections = true;
+#else
+constexpr bool kVerifyMappedSections = false;
+#endif
 
 std::uint64_t
 alignUp(std::uint64_t value, std::uint64_t align)
@@ -85,73 +93,6 @@ readScalar(std::istream &is, T &value)
 {
     is.read(reinterpret_cast<char *>(&value), sizeof(value));
     return is.good();
-}
-
-/** Serialize an aux section (see the format comment in the header). */
-std::string
-packAux(const CaptureAux &aux)
-{
-    const std::uint64_t count = aux.nextUse.size();
-    std::uint64_t bytes = 8 + count * 4 + 4;
-    for (const CaptureAuxPlane &plane : aux.planes)
-        bytes += 8 + 8 + plane.codes.size();
-    std::string out(static_cast<std::size_t>(bytes), '\0');
-    char *dst = out.data();
-    const auto put = [&dst](const void *src, std::size_t len) {
-        if (len != 0)
-            std::memcpy(dst, src, len);
-        dst += len;
-    };
-    put(&count, 8);
-    put(aux.nextUse.data(), static_cast<std::size_t>(count) * 4);
-    const std::uint32_t plane_count =
-        static_cast<std::uint32_t>(aux.planes.size());
-    put(&plane_count, 4);
-    for (const CaptureAuxPlane &plane : aux.planes) {
-        put(&plane.window, 8);
-        put(&plane.nearWindow, 8);
-        put(plane.codes.data(), plane.codes.size());
-    }
-    return out;
-}
-
-/**
- * Inverse of packAux; `count` must equal the bundle stream's record
- * count.  False on any structural inconsistency.
- */
-bool
-unpackAux(const std::string &bytes, std::uint64_t count,
-          CaptureAux &aux)
-{
-    const char *src = bytes.data();
-    std::size_t remaining = bytes.size();
-    const auto take = [&](void *dst, std::size_t len) {
-        if (remaining < len)
-            return false;
-        if (len != 0)
-            std::memcpy(dst, src, len);
-        src += len;
-        remaining -= len;
-        return true;
-    };
-    std::uint64_t stored_count = 0;
-    if (!take(&stored_count, 8) || stored_count != count)
-        return false;
-    aux.nextUse.resize(static_cast<std::size_t>(count));
-    if (!take(aux.nextUse.data(), static_cast<std::size_t>(count) * 4))
-        return false;
-    std::uint32_t plane_count = 0;
-    if (!take(&plane_count, 4) || plane_count > kBundleMaxPlanes)
-        return false;
-    aux.planes.resize(plane_count);
-    for (CaptureAuxPlane &plane : aux.planes) {
-        if (!take(&plane.window, 8) || !take(&plane.nearWindow, 8))
-            return false;
-        plane.codes.resize(static_cast<std::size_t>(count));
-        if (!take(plane.codes.data(), static_cast<std::size_t>(count)))
-            return false;
-    }
-    return remaining == 0;
 }
 
 /**
@@ -369,144 +310,6 @@ loadTrace(const std::string &path)
     return trace;
 }
 
-bool
-writeCaptureBundle(std::ostream &os, std::uint64_t config_hash,
-                   const std::vector<std::uint64_t> &meta,
-                   const Trace &stream, const CaptureAux *aux)
-{
-    // Serialize the trace first so its byte length and checksum can go
-    // in the header; traces are bounded by memory anyway, so the extra
-    // copy is acceptable for an I/O path.
-    std::ostringstream payload_os(std::ios::binary);
-    if (!writeTrace(stream, payload_os))
-        return false;
-    const std::string payload = std::move(payload_os).str();
-
-    os.write(kBundleMagic, sizeof(kBundleMagic));
-    writeScalar<std::uint32_t>(os, kBundleVersion2);
-    writeScalar<std::uint64_t>(os, config_hash);
-    writeScalar<std::uint32_t>(
-        os, static_cast<std::uint32_t>(meta.size()));
-    for (const std::uint64_t word : meta)
-        writeScalar<std::uint64_t>(os, word);
-    writeScalar<std::uint64_t>(os, payload.size());
-    writeScalar<std::uint64_t>(os,
-                               fnv1a64(payload.data(), payload.size()));
-    os.write(payload.data(),
-             static_cast<std::streamsize>(payload.size()));
-
-    const std::string aux_bytes =
-        aux == nullptr || aux->empty() ? std::string() : packAux(*aux);
-    writeScalar<std::uint64_t>(os, aux_bytes.size());
-    writeScalar<std::uint64_t>(
-        os, fnv1a64(aux_bytes.data(), aux_bytes.size()));
-    os.write(aux_bytes.data(),
-             static_cast<std::streamsize>(aux_bytes.size()));
-    return os.good();
-}
-
-bool
-readCaptureBundle(std::istream &is, std::uint64_t expected_hash,
-                  std::vector<std::uint64_t> &meta, Trace &stream,
-                  std::string *error, CaptureAux *aux)
-{
-    const auto fail = [&](const char *what) {
-        if (error != nullptr)
-            *error = what;
-        return false;
-    };
-
-    char magic[4];
-    is.read(magic, sizeof(magic));
-    if (!is.good() ||
-        std::memcmp(magic, kBundleMagic, sizeof(kBundleMagic)) != 0)
-        return fail("bad bundle magic");
-    std::uint32_t version = 0;
-    if (!readScalar(is, version) || version != kBundleVersion2)
-        return fail("unsupported bundle version");
-    std::uint64_t config_hash = 0;
-    if (!readScalar(is, config_hash))
-        return fail("truncated bundle header");
-    if (config_hash != expected_hash)
-        return fail("config hash mismatch");
-    std::uint32_t meta_count = 0;
-    if (!readScalar(is, meta_count) || meta_count > kBundleMaxMeta)
-        return fail("bad bundle meta count");
-    std::vector<std::uint64_t> loaded_meta(meta_count);
-    for (std::uint64_t &word : loaded_meta) {
-        if (!readScalar(is, word))
-            return fail("truncated bundle meta");
-    }
-    std::uint64_t payload_len = 0, payload_hash = 0;
-    if (!readScalar(is, payload_len) || !readScalar(is, payload_hash))
-        return fail("truncated bundle header");
-
-    // Validate the claimed payload length against the bytes actually
-    // present before allocating (mirrors readTrace's count check).
-    const std::istream::pos_type here = is.tellg();
-    if (here != std::istream::pos_type(-1)) {
-        is.seekg(0, std::ios::end);
-        const std::istream::pos_type end_pos = is.tellg();
-        is.seekg(here);
-        if (!is.good() || end_pos < here)
-            return fail("unseekable bundle stream");
-        if (payload_len >
-            static_cast<std::uint64_t>(end_pos - here))
-            return fail("truncated bundle payload");
-    } else {
-        is.clear();
-    }
-
-    std::string payload(payload_len, '\0');
-    is.read(payload.data(),
-            static_cast<std::streamsize>(payload.size()));
-    if (static_cast<std::uint64_t>(is.gcount()) != payload_len)
-        return fail("truncated bundle payload");
-    if (fnv1a64(payload.data(), payload.size()) != payload_hash)
-        return fail("bundle payload checksum mismatch");
-
-    std::istringstream payload_is(payload, std::ios::binary);
-    std::string trace_error;
-    Trace loaded = readTrace(payload_is, &trace_error);
-    if (!trace_error.empty())
-        return fail("bad bundle trace");
-
-    std::uint64_t aux_len = 0, aux_hash = 0;
-    if (!readScalar(is, aux_len) || !readScalar(is, aux_hash))
-        return fail("truncated bundle aux header");
-    const std::istream::pos_type aux_here = is.tellg();
-    if (aux_here != std::istream::pos_type(-1)) {
-        is.seekg(0, std::ios::end);
-        const std::istream::pos_type end_pos = is.tellg();
-        is.seekg(aux_here);
-        if (!is.good() || end_pos < aux_here)
-            return fail("unseekable bundle stream");
-        if (aux_len > static_cast<std::uint64_t>(end_pos - aux_here))
-            return fail("truncated bundle aux");
-    } else {
-        is.clear();
-    }
-    std::string aux_bytes(aux_len, '\0');
-    is.read(aux_bytes.data(),
-            static_cast<std::streamsize>(aux_bytes.size()));
-    if (static_cast<std::uint64_t>(is.gcount()) != aux_len)
-        return fail("truncated bundle aux");
-    if (fnv1a64(aux_bytes.data(), aux_bytes.size()) != aux_hash)
-        return fail("bundle aux checksum mismatch");
-    CaptureAux loaded_aux;
-    if (aux_len != 0 &&
-        !unpackAux(aux_bytes, loaded.size(), loaded_aux))
-        return fail("inconsistent bundle aux");
-
-    meta = std::move(loaded_meta);
-    stream = std::move(loaded);
-    if (aux != nullptr)
-        *aux = std::move(loaded_aux);
-    if (error != nullptr)
-        error->clear();
-    return true;
-}
-
 // --- CCAP v3 -----------------------------------------------------------
 
 namespace {
@@ -584,7 +387,7 @@ packV3Records(const Trace &stream, std::uint64_t from, std::uint64_t n,
 /**
  * Decode and structurally validate the fixed 96-byte header.  Returns
  * a failure string, or nullptr on success.  The config hash and the
- * header checksum are checked by the callers (they need the full
+ * header checksum are checked by the caller (they need the full
  * header region).
  */
 const char *
@@ -693,6 +496,54 @@ v3HeaderFnv(const void *region, std::uint64_t region_bytes)
     hasher.update(static_cast<const char *>(region) + 32,
                   static_cast<std::size_t>(region_bytes - 32));
     return hasher.digest();
+}
+
+/**
+ * Verify every data section against the header region: each record's
+ * core id and write flag and each segment's trace FNV, then each
+ * segment's chain FNV, then each plane's FNV.  Returns a failure
+ * string, or nullptr on success.  Reads every data byte.
+ */
+const char *
+verifyV3Sections(const V3Header &h, const std::uint8_t *base,
+                 const std::vector<V3PlaneDesc> &planes)
+{
+    const std::uint64_t dir_off = kV3HeaderBytes +
+                                  std::uint64_t{h.metaCount} * 8 +
+                                  h.nameLen;
+    const auto segment = [&h](std::uint64_t s) {
+        const std::uint64_t begin = s * h.epochRecords;
+        return std::make_pair(
+            begin, std::min(h.recordCount, begin + h.epochRecords));
+    };
+    for (std::uint64_t s = 0; s < h.segCount(); ++s) {
+        const auto [begin, end] = segment(s);
+        const std::uint8_t *records =
+            base + h.traceOff + begin * kV3RecordStride;
+        for (std::uint64_t i = 0; i < end - begin; ++i) {
+            const std::uint8_t *rec = records + i * kV3RecordStride;
+            if (rec[16] >= h.numCores || rec[17] > 1)
+                return "bad bundle trace";
+        }
+        if (fnv1a64(records, (end - begin) * kV3RecordStride) !=
+            loadScalar<std::uint64_t>(base, dir_off + s * 16))
+            return "bundle payload checksum mismatch";
+    }
+    if (h.chainOff != 0) {
+        for (std::uint64_t s = 0; s < h.segCount(); ++s) {
+            const auto [begin, end] = segment(s);
+            if (fnv1a64(base + h.chainOff + begin * 4,
+                        (end - begin) * 4) !=
+                loadScalar<std::uint64_t>(base, dir_off + s * 16 + 8))
+                return "bundle aux checksum mismatch";
+        }
+    }
+    for (const V3PlaneDesc &desc : planes) {
+        if (fnv1a64(base + desc.codesOff, h.recordCount) !=
+            desc.codesFnv)
+            return "bundle aux checksum mismatch";
+    }
+    return nullptr;
 }
 
 } // namespace
@@ -859,21 +710,17 @@ writeCaptureBundleV3(std::ostream &os, std::uint64_t config_hash,
 }
 
 bool
-mapCaptureBundleV3(const std::string &path,
-                   std::uint64_t expected_hash,
-                   MappedCaptureBundle &out, std::string *error)
+decodeCaptureBundleV3(std::shared_ptr<const MappedFile> file,
+                      std::uint64_t expected_hash,
+                      MappedCaptureBundle &out, std::string *error)
 {
-    const auto fail = [&](const std::string &what) {
+    const auto fail = [&](const char *what) {
         if (error != nullptr)
             *error = what;
         return false;
     };
 
-    std::string map_error;
-    const std::shared_ptr<const MappedFile> file =
-        MappedFile::map(path, &map_error);
-    if (file == nullptr)
-        return fail("cannot map bundle (" + map_error + ")");
+    casim_assert(file != nullptr, "decodeCaptureBundleV3 needs a file");
     const std::uint8_t *base = file->data();
     const std::uint64_t size = file->size();
     if (size < kV3HeaderBytes)
@@ -893,6 +740,13 @@ mapCaptureBundleV3(const std::string &path,
     std::vector<V3PlaneDesc> plane_descs;
     if (const char *what = checkV3Layout(h, base, size, plane_descs))
         return fail(what);
+    // A read buffer is resident already, so verifying it costs one
+    // pass; a mapping is verified only in paranoid builds, because
+    // that pass would fault in every page a warm start never touches.
+    if (!file->isMapped() || kVerifyMappedSections) {
+        if (const char *what = verifyV3Sections(h, base, plane_descs))
+            return fail(what);
+    }
 
     std::vector<std::uint64_t> meta(h.metaCount);
     for (std::uint32_t m = 0; m < h.metaCount; ++m)
@@ -902,39 +756,6 @@ mapCaptureBundleV3(const std::string &path,
         reinterpret_cast<const char *>(base) + kV3HeaderBytes +
             std::uint64_t{h.metaCount} * 8,
         h.nameLen);
-
-#ifdef CASIM_PARANOID
-    // Paranoid builds verify every data-section checksum eagerly
-    // (touching all pages — the fallback reader's guarantees at the
-    // mapped path's cost).
-    {
-        const std::uint64_t dir_off = kV3HeaderBytes +
-                                      std::uint64_t{h.metaCount} * 8 +
-                                      h.nameLen;
-        for (std::uint64_t s = 0; s < h.segCount(); ++s) {
-            const std::uint64_t begin = s * h.epochRecords;
-            const std::uint64_t end =
-                std::min(h.recordCount, begin + h.epochRecords);
-            casim_assert(
-                fnv1a64(base + h.traceOff + begin * kV3RecordStride,
-                        (end - begin) * kV3RecordStride) ==
-                    loadScalar<std::uint64_t>(base,
-                                              dir_off + s * 16),
-                "v3 trace segment checksum mismatch in ", path);
-            if (h.chainOff != 0)
-                casim_assert(
-                    fnv1a64(base + h.chainOff + begin * 4,
-                            (end - begin) * 4) ==
-                        loadScalar<std::uint64_t>(
-                            base, dir_off + s * 16 + 8),
-                    "v3 chain segment checksum mismatch in ", path);
-        }
-        for (const V3PlaneDesc &desc : plane_descs)
-            casim_assert(fnv1a64(base + desc.codesOff,
-                                 h.recordCount) == desc.codesFnv,
-                         "v3 plane checksum mismatch in ", path);
-    }
-#endif
 
     file->adviseSequential();
     auto pager = std::make_shared<const TracePager>(
@@ -957,203 +778,12 @@ mapCaptureBundleV3(const std::string &path,
     for (const V3PlaneDesc &desc : plane_descs)
         aux->planes.push_back(
             {desc.window, desc.nearWindow, base + desc.codesOff});
-    aux->keepAlive = file;
+    aux->keepAlive = std::move(file);
     out.aux = std::move(aux);
     out.meta = std::move(meta);
-    out.bytesMapped = size;
     if (error != nullptr)
         error->clear();
     return true;
-}
-
-bool
-readCaptureBundleV3(std::istream &is, std::uint64_t expected_hash,
-                    std::vector<std::uint64_t> &meta, Trace &stream,
-                    std::string *error, CaptureAux *aux)
-{
-    const auto fail = [&](const std::string &what) {
-        if (error != nullptr)
-            *error = what;
-        return false;
-    };
-
-    const std::istream::pos_type origin = is.tellg();
-    is.seekg(0, std::ios::end);
-    const std::istream::pos_type end_pos = is.tellg();
-    is.seekg(origin);
-    if (!is.good() || origin == std::istream::pos_type(-1))
-        return fail("unseekable bundle stream");
-    const auto actual_size =
-        static_cast<std::uint64_t>(end_pos - origin);
-    if (actual_size < kV3HeaderBytes)
-        return fail("truncated bundle header");
-
-    char fixed[kV3HeaderBytes];
-    is.read(fixed, sizeof(fixed));
-    if (!is.good())
-        return fail("truncated bundle header");
-    V3Header h;
-    if (const char *what = decodeV3Fixed(fixed, h))
-        return fail(what);
-    if (h.headerRegionBytes < kV3HeaderBytes ||
-        h.headerRegionBytes > actual_size)
-        return fail("truncated bundle header");
-
-    std::string region(static_cast<std::size_t>(h.headerRegionBytes),
-                       '\0');
-    std::memcpy(region.data(), fixed, sizeof(fixed));
-    is.read(region.data() + sizeof(fixed),
-            static_cast<std::streamsize>(h.headerRegionBytes -
-                                         sizeof(fixed)));
-    if (!is.good())
-        return fail("truncated bundle header");
-    if (v3HeaderFnv(region.data(), h.headerRegionBytes) != h.headerFnv)
-        return fail("bundle header checksum mismatch");
-    if (h.configHash != expected_hash)
-        return fail("config hash mismatch");
-
-    std::vector<V3PlaneDesc> plane_descs;
-    if (const char *what =
-            checkV3Layout(h, region.data(), actual_size, plane_descs))
-        return fail(what);
-
-    std::vector<std::uint64_t> loaded_meta(h.metaCount);
-    for (std::uint32_t m = 0; m < h.metaCount; ++m)
-        loaded_meta[m] = loadScalar<std::uint64_t>(
-            region.data(), kV3HeaderBytes + std::uint64_t{m} * 8);
-    const std::string name(
-        region.data() + kV3HeaderBytes + std::uint64_t{h.metaCount} * 8,
-        h.nameLen);
-    const std::uint64_t dir_off = kV3HeaderBytes +
-                                  std::uint64_t{h.metaCount} * 8 +
-                                  h.nameLen;
-
-    // Trace section: deserialize segment by segment, verifying each
-    // segment's checksum and every record's core id — the fully
-    // validating path the mapped loader defers to CASIM_PARANOID.
-    Trace loaded(name, h.numCores);
-    loaded.reserve(static_cast<std::size_t>(h.recordCount));
-    std::vector<char> buffer;
-    for (std::uint64_t s = 0; s < h.segCount(); ++s) {
-        const std::uint64_t begin = s * h.epochRecords;
-        const std::uint64_t end =
-            std::min(h.recordCount, begin + h.epochRecords);
-        is.seekg(origin +
-                 static_cast<std::streamoff>(
-                     h.traceOff + begin * kV3RecordStride));
-        Fnv1a64 hasher;
-        for (std::uint64_t from = begin; from < end;
-             from += kChunkRecords) {
-            const std::uint64_t n =
-                std::min(kChunkRecords, end - from);
-            buffer.resize(static_cast<std::size_t>(n) *
-                          kV3RecordStride);
-            is.read(buffer.data(),
-                    static_cast<std::streamsize>(buffer.size()));
-            if (static_cast<std::uint64_t>(is.gcount()) !=
-                buffer.size())
-                return fail("truncated bundle payload");
-            hasher.update(buffer.data(), buffer.size());
-            for (std::uint64_t i = 0; i < n; ++i) {
-                const char *rec =
-                    &buffer[static_cast<std::size_t>(i) *
-                            kV3RecordStride];
-                MemAccess access;
-                std::memcpy(&access.addr, rec, 8);
-                std::memcpy(&access.pc, rec + 8, 8);
-                const auto core =
-                    static_cast<std::uint8_t>(rec[16]);
-                if (core >= h.numCores)
-                    return fail("bad bundle trace");
-                access.core = static_cast<CoreId>(core);
-                access.isWrite = rec[17] != 0;
-                loaded.append(access);
-            }
-        }
-        if (hasher.digest() !=
-            loadScalar<std::uint64_t>(region.data(), dir_off + s * 16))
-            return fail("bundle payload checksum mismatch");
-    }
-
-    CaptureAux loaded_aux;
-    if (h.chainOff != 0) {
-        loaded_aux.nextUse.resize(
-            static_cast<std::size_t>(h.recordCount));
-        is.seekg(origin + static_cast<std::streamoff>(h.chainOff));
-        is.read(reinterpret_cast<char *>(loaded_aux.nextUse.data()),
-                static_cast<std::streamsize>(h.recordCount * 4));
-        if (static_cast<std::uint64_t>(is.gcount()) !=
-            h.recordCount * 4)
-            return fail("truncated bundle aux");
-        for (std::uint64_t s = 0; s < h.segCount(); ++s) {
-            const std::uint64_t begin = s * h.epochRecords;
-            const std::uint64_t end =
-                std::min(h.recordCount, begin + h.epochRecords);
-            if (fnv1a64(loaded_aux.nextUse.data() + begin,
-                        (end - begin) * 4) !=
-                loadScalar<std::uint64_t>(region.data(),
-                                          dir_off + s * 16 + 8))
-                return fail("bundle aux checksum mismatch");
-        }
-    }
-    for (const V3PlaneDesc &desc : plane_descs) {
-        CaptureAuxPlane plane;
-        plane.window = desc.window;
-        plane.nearWindow = desc.nearWindow;
-        plane.codes.resize(static_cast<std::size_t>(h.recordCount));
-        is.seekg(origin + static_cast<std::streamoff>(desc.codesOff));
-        is.read(reinterpret_cast<char *>(plane.codes.data()),
-                static_cast<std::streamsize>(plane.codes.size()));
-        if (static_cast<std::uint64_t>(is.gcount()) !=
-            plane.codes.size())
-            return fail("truncated bundle aux");
-        if (fnv1a64(plane.codes.data(), plane.codes.size()) !=
-            desc.codesFnv)
-            return fail("bundle aux checksum mismatch");
-        loaded_aux.planes.push_back(std::move(plane));
-    }
-
-    meta = std::move(loaded_meta);
-    stream = std::move(loaded);
-    if (aux != nullptr)
-        *aux = std::move(loaded_aux);
-    if (error != nullptr)
-        error->clear();
-    return true;
-}
-
-std::uint32_t
-peekBundleVersion(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return 0;
-    char magic[4];
-    is.read(magic, sizeof(magic));
-    std::uint32_t version = 0;
-    if (!is.good() ||
-        std::memcmp(magic, kBundleMagic, sizeof(kBundleMagic)) != 0)
-        return 0;
-    if (!readScalar(is, version))
-        return 0;
-    return version;
-}
-
-std::shared_ptr<const CaptureAuxView>
-auxViewOf(std::shared_ptr<const CaptureAux> aux)
-{
-    auto view = std::make_shared<CaptureAuxView>();
-    if (aux == nullptr)
-        return view;
-    view->count = aux->nextUse.size();
-    view->nextUse =
-        aux->nextUse.empty() ? nullptr : aux->nextUse.data();
-    view->planes.reserve(aux->planes.size());
-    for (const CaptureAuxPlane &plane : aux->planes)
-        view->planes.push_back(
-            {plane.window, plane.nearWindow, plane.codes.data()});
-    view->keepAlive = std::move(aux);
-    return view;
 }
 
 } // namespace casim

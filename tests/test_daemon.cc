@@ -225,6 +225,34 @@ TEST(Daemon, DeeplyNestedLineIsABadRequest)
     EXPECT_NE(harness.readResponse().find("pong"), std::string::npos);
 }
 
+TEST(Daemon, OverlongLineIsABadRequest)
+{
+    // A line one byte over the cap is answered with bad_request naming
+    // the cap, skipped through its newline, and leaves the connection
+    // usable.  The longer line overflows the buffer well before its
+    // newline arrives, and still gets exactly one reply.
+    const std::string cap_error =
+        "request line exceeds " + std::to_string(kMaxLineBytes) + " bytes";
+    DaemonHarness harness;
+    for (const std::size_t bytes :
+         {kMaxLineBytes + 1, kMaxLineBytes + 10000}) {
+        writeAll(harness.fd(), std::string(bytes, 'x') + "\n");
+        const std::string line = harness.readResponse();
+        EXPECT_NE(line.find("\"bad_request\""), std::string::npos)
+            << line;
+        EXPECT_NE(line.find(cap_error), std::string::npos) << line;
+    }
+
+    // A line of exactly the cap is parsed (and fails as JSON).
+    writeAll(harness.fd(), std::string(kMaxLineBytes, 'x') + "\n");
+    const std::string line = harness.readResponse();
+    EXPECT_NE(line.find("request parse error"), std::string::npos)
+        << line.substr(0, 200);
+
+    writeAll(harness.fd(), "{\"op\": \"ping\"}\n");
+    EXPECT_NE(harness.readResponse().find("pong"), std::string::npos);
+}
+
 TEST(Daemon, HelloNegotiatesProtocol)
 {
     DaemonHarness harness;

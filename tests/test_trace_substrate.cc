@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests for the mmap-backed epoch-segmented CCAP v3 trace substrate:
- * the mapped view, the stream-fallback reader and the resident path
- * must agree byte for byte across epoch sizes (including degenerate
- * epoch = 1 and epoch >= trace), replay over a mapped view must equal
- * replay over the resident trace, data-section corruption must be
- * caught by the validating reader, and the durable-write helper must
- * never leave a torn file behind.
+ * Tests for the mmap-backed epoch-segmented CCAP v3 trace substrate.
+ * Every decoder test runs over both MappedFile backings, a mapping and
+ * a read buffer (the CASIM_NO_MMAP path): the decoded views and the
+ * resident path must agree byte for byte across epoch sizes (including
+ * degenerate epoch = 1 and epoch >= trace), replay over a decoded view
+ * must equal replay over the resident trace, data-section corruption
+ * must be caught wherever the sections are verified, and the
+ * durable-write helper must never leave a torn file behind.
  */
 
 #include <cstdint>
@@ -34,6 +35,12 @@ namespace fs = std::filesystem;
 constexpr std::uint64_t kHash = 0x5eedf00dcafe1234ull;
 constexpr SeqNo kWindow = 64;
 constexpr SeqNo kNearWindow = 32;
+
+#ifdef CASIM_PARANOID
+constexpr bool kParanoidBuild = true;
+#else
+constexpr bool kParanoidBuild = false;
+#endif
 
 /** A scratch directory removed at scope exit. */
 class ScratchDir
@@ -164,6 +171,28 @@ epochSizes(std::size_t n)
     return {1, 3, 7, 512, n, 2 * std::uint64_t{n}};
 }
 
+/** One MappedFile backing the decoder runs over. */
+struct Backing
+{
+    const char *name;
+    std::shared_ptr<const MappedFile> (*open)(const std::string &,
+                                              std::string *);
+};
+
+constexpr Backing kBackings[] = {{"map", &MappedFile::map},
+                                 {"read", &MappedFile::read}};
+
+/** Open `path` through `backing` and decode it. */
+bool
+loadV3(const Backing &backing, const std::string &path,
+       std::uint64_t hash, MappedCaptureBundle &out,
+       std::string *error = nullptr)
+{
+    std::shared_ptr<const MappedFile> file = backing.open(path, error);
+    return file != nullptr &&
+           decodeCaptureBundleV3(std::move(file), hash, out, error);
+}
+
 TEST(TraceSubstrate, MappedViewMatchesResidentAcrossEpochSizes)
 {
     ScratchDir dir;
@@ -176,31 +205,35 @@ TEST(TraceSubstrate, MappedViewMatchesResidentAcrossEpochSizes)
                 .string();
         writeV3(path, trace, &aux, epoch);
 
-        MappedCaptureBundle mapped;
-        std::string error;
-        ASSERT_TRUE(mapCaptureBundleV3(path, kHash, mapped, &error))
-            << "epoch " << epoch << ": " << error;
-        EXPECT_EQ(mapped.meta, (std::vector<std::uint64_t>{1, 2, 3}));
-        EXPECT_TRUE(mapped.stream.isView());
-        EXPECT_NE(mapped.stream.pager(), nullptr);
-        EXPECT_GT(mapped.bytesMapped, 0u);
-        expectSameRecords(trace, mapped.stream);
+        for (const Backing &backing : kBackings) {
+            SCOPED_TRACE(std::string(backing.name) + " epoch " +
+                         std::to_string(epoch));
+            MappedCaptureBundle mapped;
+            std::string error;
+            ASSERT_TRUE(loadV3(backing, path, kHash, mapped, &error))
+                << error;
+            EXPECT_EQ(mapped.meta,
+                      (std::vector<std::uint64_t>{1, 2, 3}));
+            EXPECT_TRUE(mapped.stream.isView());
+            EXPECT_NE(mapped.stream.pager(), nullptr);
+            expectSameRecords(trace, mapped.stream);
 
-        ASSERT_NE(mapped.aux, nullptr);
-        ASSERT_NE(mapped.aux->nextUse, nullptr);
-        ASSERT_EQ(mapped.aux->count, trace.size());
-        EXPECT_EQ(std::memcmp(mapped.aux->nextUse, aux.nextUse.data(),
-                              aux.nextUse.size() * 4),
-                  0)
-            << "epoch " << epoch;
-        ASSERT_EQ(mapped.aux->planes.size(), 1u);
-        EXPECT_EQ(mapped.aux->planes[0].window, kWindow);
-        EXPECT_EQ(mapped.aux->planes[0].nearWindow, kNearWindow);
-        EXPECT_EQ(std::memcmp(mapped.aux->planes[0].codes,
-                              aux.planes[0].codes.data(),
-                              aux.planes[0].codes.size()),
-                  0)
-            << "epoch " << epoch;
+            ASSERT_NE(mapped.aux, nullptr);
+            EXPECT_NE(mapped.aux->keepAlive, nullptr);
+            ASSERT_NE(mapped.aux->nextUse, nullptr);
+            ASSERT_EQ(mapped.aux->count, trace.size());
+            EXPECT_EQ(std::memcmp(mapped.aux->nextUse,
+                                  aux.nextUse.data(),
+                                  aux.nextUse.size() * 4),
+                      0);
+            ASSERT_EQ(mapped.aux->planes.size(), 1u);
+            EXPECT_EQ(mapped.aux->planes[0].window, kWindow);
+            EXPECT_EQ(mapped.aux->planes[0].nearWindow, kNearWindow);
+            EXPECT_EQ(std::memcmp(mapped.aux->planes[0].codes,
+                                  aux.planes[0].codes.data(),
+                                  aux.planes[0].codes.size()),
+                      0);
+        }
     }
 }
 
@@ -216,20 +249,38 @@ TEST(TraceSubstrate, StreamFallbackMatchesResidentAcrossEpochSizes)
                 .string();
         writeV3(path, trace, &aux, epoch);
 
-        std::ifstream is(path, std::ios::binary);
-        std::vector<std::uint64_t> meta;
-        Trace loaded("", 1);
-        CaptureAux loaded_aux;
-        std::string error;
-        ASSERT_TRUE(readCaptureBundleV3(is, kHash, meta, loaded, &error,
-                                        &loaded_aux))
-            << "epoch " << epoch << ": " << error;
-        EXPECT_EQ(meta, (std::vector<std::uint64_t>{1, 2, 3}));
-        EXPECT_FALSE(loaded.isView());
-        expectSameRecords(trace, loaded);
-        EXPECT_EQ(loaded_aux.nextUse, aux.nextUse);
-        ASSERT_EQ(loaded_aux.planes.size(), 1u);
-        EXPECT_EQ(loaded_aux.planes[0].codes, aux.planes[0].codes);
+        for (const Backing &backing : kBackings) {
+            SCOPED_TRACE(std::string(backing.name) + " epoch " +
+                         std::to_string(epoch));
+            std::string error;
+            const std::shared_ptr<const MappedFile> file =
+                backing.open(path, &error);
+            ASSERT_NE(file, nullptr) << error;
+            EXPECT_EQ(file->isMapped(),
+                      backing.open == &MappedFile::map);
+            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(file->data()) %
+                          4096,
+                      0u);
+            MappedCaptureBundle loaded;
+            ASSERT_TRUE(
+                decodeCaptureBundleV3(file, kHash, loaded, &error))
+                << error;
+
+            // Streaming release of every epoch drops mapped pages
+            // (they refault from the file) and must leave a read
+            // buffer untouched: the data stays identical either way.
+            loaded.stream.pager()->releaseRecords(0, trace.size());
+            expectSameRecords(trace, loaded.stream);
+            const std::uint32_t *chain = loaded.aux->nextUse;
+            EXPECT_EQ(std::vector<std::uint32_t>(chain,
+                                                 chain + trace.size()),
+                      aux.nextUse);
+            ASSERT_EQ(loaded.aux->planes.size(), 1u);
+            const std::uint8_t *codes = loaded.aux->planes[0].codes;
+            EXPECT_EQ(std::vector<std::uint8_t>(codes,
+                                                codes + trace.size()),
+                      aux.planes[0].codes);
+        }
     }
 }
 
@@ -238,71 +289,91 @@ TEST(TraceSubstrate, ReplayOverMappedViewMatchesResident)
     ScratchDir dir;
     const Trace trace = makeTrace(6000);
     const CaptureAux aux = makeAux(trace);
-    // A tiny epoch forces the pager across many advise/retire
-    // boundaries inside one replay.
-    const std::string path = (dir.path() / "replay.ccap").string();
-    writeV3(path, trace, &aux, 7);
-
-    MappedCaptureBundle mapped;
-    ASSERT_TRUE(mapCaptureBundleV3(path, kHash, mapped, nullptr));
 
     const CacheGeometry geo{16 * 1024, 4, kBlockBytes};
     ReplaySpec lru;
     lru.geo = geo;
-    EXPECT_EQ(replayMisses(mapped.stream, lru),
-              replayMisses(trace, lru));
-
-    // OPT exercises the next-use chain: the resident path builds the
-    // index eagerly, the mapped path adopts the bundle's chain and
-    // plane zero-copy.
     const NextUseIndex fresh(trace);
-    std::vector<NextUseIndex::LabelPlane> planes;
-    planes.emplace_back(kWindow, kNearWindow,
-                        mapped.aux->planes[0].codes, mapped.aux->count);
-    const NextUseIndex adopted(
-        mapped.stream, mapped.aux->nextUse,
-        static_cast<std::size_t>(mapped.aux->count), std::move(planes),
-        mapped.aux);
-    ASSERT_EQ(adopted.size(), fresh.size());
-    EXPECT_EQ(std::memcmp(adopted.chainData(), fresh.chainData(),
-                          fresh.size() * 4),
-              0);
-    EXPECT_EQ(adopted.labelPlane(kWindow, kNearWindow),
-              fresh.labelPlane(kWindow, kNearWindow));
-
     ReplaySpec opt_resident;
     opt_resident.policy = "opt";
     opt_resident.geo = geo;
     opt_resident.nextUse = &fresh;
-    ReplaySpec opt_mapped = opt_resident;
-    opt_mapped.nextUse = &adopted;
-    EXPECT_EQ(replayMisses(mapped.stream, opt_mapped),
-              replayMisses(trace, opt_resident));
+
+    // A tiny epoch forces the pager across many advise/retire
+    // boundaries inside one replay; a 512-record epoch (three pages)
+    // makes each retirement drop whole pages.  Over the read backing
+    // this is the guard against madvise() reaching heap memory, which
+    // would zero the records the second replay reads again.
+    for (const std::uint64_t epoch : {std::uint64_t{7}, std::uint64_t{512}}) {
+        const std::string path =
+            (dir.path() / ("replay" + std::to_string(epoch) + ".ccap"))
+                .string();
+        writeV3(path, trace, &aux, epoch);
+        for (const Backing &backing : kBackings) {
+            SCOPED_TRACE(std::string(backing.name) + " epoch " +
+                         std::to_string(epoch));
+            MappedCaptureBundle mapped;
+            ASSERT_TRUE(loadV3(backing, path, kHash, mapped));
+            EXPECT_EQ(replayMisses(mapped.stream, lru),
+                      replayMisses(trace, lru));
+
+            // OPT exercises the next-use chain: the resident path
+            // builds the index eagerly, the decoded path adopts the
+            // bundle's chain and plane zero-copy.
+            std::vector<NextUseIndex::LabelPlane> planes;
+            planes.emplace_back(kWindow, kNearWindow,
+                                mapped.aux->planes[0].codes,
+                                mapped.aux->count);
+            const NextUseIndex adopted(
+                mapped.stream, mapped.aux->nextUse,
+                static_cast<std::size_t>(mapped.aux->count),
+                std::move(planes), mapped.aux);
+            ASSERT_EQ(adopted.size(), fresh.size());
+            EXPECT_EQ(std::memcmp(adopted.chainData(), fresh.chainData(),
+                                  fresh.size() * 4),
+                      0);
+            EXPECT_EQ(adopted.labelPlane(kWindow, kNearWindow),
+                      fresh.labelPlane(kWindow, kNearWindow));
+
+            ReplaySpec opt_mapped = opt_resident;
+            opt_mapped.nextUse = &adopted;
+            EXPECT_EQ(replayMisses(mapped.stream, opt_mapped),
+                      replayMisses(trace, opt_resident));
+            // Both replays retired every epoch; the view must still
+            // hold the captured records.
+            expectSameRecords(trace, mapped.stream);
+        }
+    }
 }
 
 TEST(TraceSubstrate, ChainlessAndEmptyBundlesRoundTrip)
 {
     ScratchDir dir;
 
-    // No aux: chain_off = 0, mapped aux has a null chain and no planes.
+    // No aux: chain_off = 0, the decoded aux has a null chain and no
+    // planes.
     const Trace trace = makeTrace(257);
     const std::string bare = (dir.path() / "bare.ccap").string();
     writeV3(bare, trace, nullptr, 512);
-    MappedCaptureBundle mapped;
-    ASSERT_TRUE(mapCaptureBundleV3(bare, kHash, mapped, nullptr));
-    expectSameRecords(trace, mapped.stream);
-    ASSERT_NE(mapped.aux, nullptr);
-    EXPECT_EQ(mapped.aux->nextUse, nullptr);
-    EXPECT_TRUE(mapped.aux->planes.empty());
-
     // Empty trace: zero records, zero segments.
     const Trace empty("empty", 2);
     const std::string none = (dir.path() / "empty.ccap").string();
     writeV3(none, empty, nullptr, 512);
-    MappedCaptureBundle mapped_empty;
-    ASSERT_TRUE(mapCaptureBundleV3(none, kHash, mapped_empty, nullptr));
-    EXPECT_EQ(mapped_empty.stream.size(), 0u);
-    EXPECT_EQ(mapped_empty.stream.name(), "empty");
+
+    for (const Backing &backing : kBackings) {
+        SCOPED_TRACE(backing.name);
+        MappedCaptureBundle mapped;
+        ASSERT_TRUE(loadV3(backing, bare, kHash, mapped));
+        expectSameRecords(trace, mapped.stream);
+        ASSERT_NE(mapped.aux, nullptr);
+        EXPECT_EQ(mapped.aux->nextUse, nullptr);
+        EXPECT_TRUE(mapped.aux->planes.empty());
+
+        MappedCaptureBundle mapped_empty;
+        ASSERT_TRUE(loadV3(backing, none, kHash, mapped_empty));
+        EXPECT_EQ(mapped_empty.stream.size(), 0u);
+        EXPECT_EQ(mapped_empty.stream.name(), "empty");
+    }
 }
 
 TEST(TraceSubstrate, DataSectionCorruptionFailsTheValidatingReader)
@@ -311,24 +382,38 @@ TEST(TraceSubstrate, DataSectionCorruptionFailsTheValidatingReader)
     const Trace trace = makeTrace(3000);
     const CaptureAux aux = makeAux(trace);
 
-    const auto expectReadFails =
-        [&](const std::string &path, const std::string &want) {
-            std::ifstream is(path, std::ios::binary);
-            std::vector<std::uint64_t> meta;
-            Trace loaded("", 1);
-            CaptureAux loaded_aux;
+    // Every read-backed load verifies the data sections.  A mapped
+    // load validates only the header region — the trade-off that
+    // makes warm starts free — unless the build is paranoid, where it
+    // verifies them too and rejects the bundle the same way.
+    const auto expectLoadFails = [&](const std::string &path,
+                                     const std::string &want) {
+        for (const Backing &backing : kBackings) {
+            SCOPED_TRACE(backing.name);
+            MappedCaptureBundle mapped;
             std::string error;
-            EXPECT_FALSE(readCaptureBundleV3(is, kHash, meta, loaded,
-                                             &error, &loaded_aux));
+            const bool ok = loadV3(backing, path, kHash, mapped, &error);
+            if (backing.open == &MappedFile::map && !kParanoidBuild) {
+                EXPECT_TRUE(ok) << error;
+                continue;
+            }
+            EXPECT_FALSE(ok);
             EXPECT_EQ(error, want);
-        };
+        }
+    };
 
     // Corrupt a trace record.
     const std::string t = (dir.path() / "trace.ccap").string();
     writeV3(t, trace, &aux, 512);
     const std::uint64_t trace_off = fileU64(t, 64);
     flipByte(t, trace_off + 10);
-    expectReadFails(t, "bundle payload checksum mismatch");
+    expectLoadFails(t, "bundle payload checksum mismatch");
+
+    // A record whose core id is out of range.
+    const std::string r = (dir.path() / "core.ccap").string();
+    writeV3(r, trace, &aux, 512);
+    flipByte(r, fileU64(r, 64) + 16);
+    expectLoadFails(r, "bad bundle trace");
 
     // Corrupt the next-use chain.
     const std::string c = (dir.path() / "chain.ccap").string();
@@ -336,7 +421,7 @@ TEST(TraceSubstrate, DataSectionCorruptionFailsTheValidatingReader)
     const std::uint64_t chain_off = fileU64(c, 72);
     ASSERT_NE(chain_off, 0u);
     flipByte(c, chain_off + 5);
-    expectReadFails(c, "bundle aux checksum mismatch");
+    expectLoadFails(c, "bundle aux checksum mismatch");
 
     // Corrupt the plane codes (the section after the chain).
     const std::string p = (dir.path() / "plane.ccap").string();
@@ -344,16 +429,7 @@ TEST(TraceSubstrate, DataSectionCorruptionFailsTheValidatingReader)
     const std::uint64_t codes_off =
         alignUp4k(fileU64(p, 72) + trace.size() * 4);
     flipByte(p, codes_off + 3);
-    expectReadFails(p, "bundle aux checksum mismatch");
-
-#ifndef CASIM_PARANOID
-    // The mapped loader validates only the header region, so a
-    // data-section flip maps fine (detection is the fallback reader's
-    // and CASIM_PARANOID's job); this is the documented trade-off that
-    // makes warm starts deserialization-free.
-    MappedCaptureBundle mapped;
-    EXPECT_TRUE(mapCaptureBundleV3(t, kHash, mapped, nullptr));
-#endif
+    expectLoadFails(p, "bundle aux checksum mismatch");
 }
 
 TEST(TraceSubstrate, TruncationAndStalenessAreDistinguished)
@@ -363,24 +439,22 @@ TEST(TraceSubstrate, TruncationAndStalenessAreDistinguished)
     const CaptureAux aux = makeAux(trace);
     const std::string path = (dir.path() / "trunc.ccap").string();
     writeV3(path, trace, &aux, 512);
+    const std::string cut = (dir.path() / "cut.ccap").string();
+    writeV3(cut, trace, &aux, 512);
+    fs::resize_file(cut, fs::file_size(cut) - 4097);
 
-    // A wrong expected hash is staleness, not corruption.
-    MappedCaptureBundle mapped;
-    std::string error;
-    EXPECT_FALSE(mapCaptureBundleV3(path, kHash + 1, mapped, &error));
-    EXPECT_EQ(error, "config hash mismatch");
+    for (const Backing &backing : kBackings) {
+        SCOPED_TRACE(backing.name);
+        // A wrong expected hash is staleness, not corruption.
+        MappedCaptureBundle mapped;
+        std::string error;
+        EXPECT_FALSE(loadV3(backing, path, kHash + 1, mapped, &error));
+        EXPECT_EQ(error, "config hash mismatch");
 
-    // A truncated file is corruption for both loaders.
-    const std::uint64_t size = fs::file_size(path);
-    fs::resize_file(path, size - 4097);
-    EXPECT_FALSE(mapCaptureBundleV3(path, kHash, mapped, &error));
-    EXPECT_EQ(error, "bundle size mismatch");
-
-    std::ifstream is(path, std::ios::binary);
-    std::vector<std::uint64_t> meta;
-    Trace loaded("", 1);
-    EXPECT_FALSE(readCaptureBundleV3(is, kHash, meta, loaded, &error));
-    EXPECT_EQ(error, "bundle size mismatch");
+        // A truncated file is corruption.
+        EXPECT_FALSE(loadV3(backing, cut, kHash, mapped, &error));
+        EXPECT_EQ(error, "bundle size mismatch");
+    }
 }
 
 TEST(TraceSubstrate, WriteFileDurablyNeverLeavesATornFile)
