@@ -3,7 +3,8 @@
 # ThreadSanitizer + CASIM_PARANOID build running the parallel-runner and
 # capture-cache tests to catch data races and tag-store inconsistencies,
 # a cold-then-warm capture-cache replay whose outputs must match byte
-# for byte, and machine-readable result emission (--stats-out /
+# for byte, headline figures diffed against the committed goldens in
+# tests/golden/, and machine-readable result emission (--stats-out /
 # --format=json) validated against docs/stats_schema.md with the JSON
 # tables cross-checked cell-exact against the text output.
 #
@@ -22,9 +23,9 @@ echo "== tier-1: TSan + paranoid build, parallel/capture tests =="
 cmake -B "${prefix}-tsan" -S . -DCASIM_SANITIZE=thread \
       -DCASIM_PARANOID=ON >/dev/null
 cmake --build "${prefix}-tsan" -j --target casim_tests
-# Simd* here is what exercises the paranoid SIMD-vs-scalar cross-check
-# in Cache::findWay / LruPolicy::victim on every lookup of the batched
-# replay tests.  Request/Queue/Daemon cover the experiment-service
+# Simd* checks the vector kernels against their scalar references, and
+# the ShardedSim replays run the paranoid SIMD-vs-scalar cross-check in
+# Cache::findWay / LruPolicy::victim on every lookup.  Request/Queue/Daemon cover the experiment-service
 # paths (queue batching, daemon connection threads over socketpairs);
 # the death tests are excluded because fork-style death tests are
 # unreliable under TSan.
@@ -132,26 +133,52 @@ wsb="${prefix}/bench/warm_start_bench"
     | tee "${capdir}/oocore.json"
 echo "out-of-core replay within budget"
 
-echo "== tier-1: SIMD and batching are invisible in the output =="
-# The vector tag scan and the batched replay loop are pure performance
-# changes: fig5 must be byte-identical with both forced off.
+echo "== tier-1: results match the committed goldens =="
+# Every other byte-identity check here compares two code paths of the
+# same build.  tests/golden/ pins absolute text outputs.  At scale 0.05
+# the 4 MB LLC barely evicts, so the *_scale0.1_llc1mb runs shrink it:
+# there replacement, the awareness scorer and predictor training all
+# move the printed digits.  An intended change to results regenerates
+# the files (tests/golden/README.md).
+# Each entry: golden file stem, bench binary, bench flags.
+golden_runs=(
+    "fig2_shared_hits fig2_shared_hits --scale=0.05"
+    "fig5_policy_comparison fig5_policy_comparison --scale=0.05"
+    "fig6_sharing_awareness fig6_sharing_awareness --scale=0.05"
+    "fig7_oracle fig7_oracle --scale=0.05"
+    "fig8_predictors fig8_predictors --scale=0.05"
+    "fig5_policy_comparison_scale0.1_llc1mb fig5_policy_comparison --scale=0.1 --llc-mb=1"
+    "fig6_sharing_awareness_scale0.1_llc1mb fig6_sharing_awareness --scale=0.1 --llc-mb=1"
+    "fig8_predictors_scale0.1_llc1mb fig8_predictors --scale=0.1 --llc-mb=1"
+)
+for run in "${golden_runs[@]}"; do
+    read -r golden bench args <<< "${run}"
+    # shellcheck disable=SC2086  # args is a list of flags
+    "${prefix}/bench/${bench}" ${args} --jobs=2 \
+        --capture-dir="${capdir}/cache" > "${capdir}/golden_${golden}.txt"
+    if ! diff -u "tests/golden/${golden}.txt" \
+            "${capdir}/golden_${golden}.txt" >&2; then
+        echo "FATAL: ${golden} differs from tests/golden/${golden}.txt" >&2
+        exit 1
+    fi
+done
+echo "${#golden_runs[@]} golden outputs identical"
+
+echo "== tier-1: SIMD is invisible in the output =="
+# The vector tag scan is a pure performance change: fig5 must be
+# byte-identical with it forced off.
 fig5="${prefix}/bench/fig5_policy_comparison"
 "${fig5}" --scale=0.05 --jobs=2 --capture-dir="${capdir}/cache" \
     > "${capdir}/fig5_default.txt"
 CASIM_NO_SIMD=1 "${fig5}" --scale=0.05 --jobs=2 \
     --capture-dir="${capdir}/cache" > "${capdir}/fig5_scalar.txt"
-CASIM_BATCH_WINDOW=0 "${fig5}" --scale=0.05 --jobs=2 \
-    --capture-dir="${capdir}/cache" > "${capdir}/fig5_unbatched.txt"
-for variant in scalar unbatched; do
-    if ! cmp -s "${capdir}/fig5_default.txt" \
-            "${capdir}/fig5_${variant}.txt"; then
-        echo "FATAL: ${variant} fig5 output differs from default" >&2
-        diff "${capdir}/fig5_default.txt" \
-            "${capdir}/fig5_${variant}.txt" >&2 || true
-        exit 1
-    fi
-done
-echo "scalar/unbatched fig5 outputs identical"
+if ! cmp -s "${capdir}/fig5_default.txt" "${capdir}/fig5_scalar.txt"; then
+    echo "FATAL: scalar fig5 output differs from default" >&2
+    diff "${capdir}/fig5_default.txt" "${capdir}/fig5_scalar.txt" >&2 \
+        || true
+    exit 1
+fi
+echo "scalar/vector fig5 outputs identical"
 
 echo "== tier-1: JSON result documents match text tables =="
 for fig in fig5_policy_comparison fig7_oracle; do

@@ -73,18 +73,8 @@ Options::getDouble(const std::string &key, double fallback) const
 unsigned
 Options::jobs() const
 {
-    std::uint64_t jobs = 0;
-    if (has("jobs")) {
-        jobs = getUint("jobs", 0);
-    } else if (const char *env = std::getenv("CASIM_JOBS")) {
-        char *end = nullptr;
-        jobs = std::strtoull(env, &end, 0);
-        if (end == env || *end != '\0')
-            casim_fatal("CASIM_JOBS expects an integer, got '", env,
-                        "'");
-    } else {
-        jobs = std::thread::hardware_concurrency();
-    }
+    const std::uint64_t jobs =
+        getUint("jobs", std::thread::hardware_concurrency());
     return jobs == 0 ? 1 : static_cast<unsigned>(jobs);
 }
 

@@ -43,9 +43,8 @@ class Options
 
     /**
      * Worker count for parallel experiment phases: --jobs=N if given,
-     * else the CASIM_JOBS environment variable, else the hardware
-     * concurrency.  Always >= 1; --jobs=1 selects the exact serial
-     * code path.
+     * else the hardware concurrency.  Always >= 1; --jobs=1 selects the
+     * exact serial code path.
      */
     unsigned jobs() const;
 

@@ -14,17 +14,6 @@ AwarenessScorer::onEviction(const Cache &cache, unsigned set,
     ++evictions_;
     const CacheBlock &victim = cache.blockAt(set, victim_way);
     const unsigned ways = cache.geometry().ways;
-    // Batched kernel: the victim and every candidate query below walks
-    // the index's block table, so overlap those probes up front
-    // instead of serializing one table miss per way.
-    index_.prefetchBlock(victim.addr);
-    for (unsigned way = 0; way < ways; ++way) {
-        if (way == victim_way)
-            continue;
-        const CacheBlock &other = cache.blockAt(set, way);
-        if (other.valid)
-            index_.prefetchBlock(other.addr);
-    }
     // The victim's residency "would still be shared" if its future
     // window contains references and the residency's sharer set (past
     // touches plus future touches) spans at least two cores.  The

@@ -5,8 +5,6 @@
 
 #include "sim/config.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
 
 namespace casim {
@@ -76,21 +74,13 @@ StudyConfig::fromOptions(const Options &options)
         config.captureDir = options.getString("capture-dir", "");
         if (config.captureDir.empty())
             config.captureDir = ".capture-cache";
-    } else if (const char *env = std::getenv("CASIM_CAPTURE_DIR")) {
-        config.captureDir = env;
     }
 
-    std::uint64_t shards = config.shards;
-    if (options.has("shards")) {
-        shards = options.getUint("shards", shards);
-    } else if (const char *env = std::getenv("CASIM_SHARDS")) {
-        shards = std::strtoull(env, nullptr, 10);
-    }
+    std::uint64_t shards = options.getUint("shards", config.shards);
     if (shards == 0)
         shards = 1;
     if ((shards & (shards - 1)) != 0)
-        casim_fatal("--shards / CASIM_SHARDS must be a power of two, ",
-                    "got ", shards);
+        casim_fatal("--shards must be a power of two, got ", shards);
     config.shards = static_cast<unsigned>(shards);
     return config;
 }

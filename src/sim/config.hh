@@ -91,13 +91,11 @@ struct StudyConfig
      * --pred-threshold, --capture-dir.
      *
      * --capture-dir=DIR enables the capture cache in DIR; a bare
-     * --capture-dir uses ".capture-cache".  When the flag is absent the
-     * CASIM_CAPTURE_DIR environment variable is consulted; absent both,
-     * the cache is off.
+     * --capture-dir uses ".capture-cache"; without the flag the cache
+     * is off.
      *
-     * --shards=K sets the replay shard count; when the flag is absent
-     * the CASIM_SHARDS environment variable is consulted.  K must be a
-     * power of two (0 means 1); anything else is fatal.
+     * --shards=K sets the replay shard count.  K must be a power of two
+     * (0 means 1); anything else is fatal.
      */
     static StudyConfig fromOptions(const Options &options);
 };

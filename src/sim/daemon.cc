@@ -5,9 +5,11 @@
 
 #include "sim/daemon.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <list>
 #include <poll.h>
 #include <sstream>
 #include <sys/socket.h>
@@ -665,8 +667,24 @@ ExperimentDaemon::serveSocket(const std::string &path)
         return 1;
     }
 
-    std::vector<std::thread> handlers;
+    // One thread per connection.  A list keeps each handler's done
+    // flag at a stable address while finished handlers are erased.
+    struct Handler
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+    std::list<Handler> handlers;
     while (true) {
+        // Reap finished connections now rather than at shutdown, so a
+        // long-lived daemon does not keep one thread and its stack
+        // reserved per connection it ever served.
+        handlers.remove_if([](Handler &handler) {
+            if (!handler.done)
+                return false;
+            handler.thread.join();
+            return true;
+        });
         if (signalPending())
             requestStop();
         if (stopping())
@@ -680,16 +698,18 @@ ExperimentDaemon::serveSocket(const std::string &path)
         const int conn = ::accept(listen_fd, nullptr, nullptr);
         if (conn < 0)
             continue;
-        handlers.emplace_back([this, conn] {
+        Handler &handler = handlers.emplace_back();
+        handler.thread = std::thread([this, conn, &done = handler.done] {
             serveConnection(conn, conn);
             ::close(conn);
+            done = true;
         });
     }
 
     // Drain: every connection finishes its in-flight work and writes
     // complete response lines before we tear anything down.
-    for (std::thread &handler : handlers)
-        handler.join();
+    for (Handler &handler : handlers)
+        handler.thread.join();
     ::close(listen_fd);
     ::unlink(path.c_str());
     flushStats();

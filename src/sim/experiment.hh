@@ -163,7 +163,7 @@ struct ReplaySpec
     StridePrefetcher *prefetcher = nullptr;
 
     /**
-     * Set-shard count for the replay (--shards / CASIM_SHARDS).  A
+     * Set-shard count for the replay (--shards).  A
      * power of two; values above the set count are clamped.  Shards
      * only engage for specs the sharded engine reproduces exactly:
      * per-set-state policies (PolicyDesc::perSetState) with no labeler

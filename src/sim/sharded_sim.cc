@@ -128,7 +128,6 @@ ShardedStreamSim::run(ParallelRunner *runner)
             makePolicy_(local.numSets(), local.ways),
             CacheShard{bits_, static_cast<unsigned>(s)});
         sim->setStreamPositions(&positions_[s]);
-        sim->setBatchWindow(batchWindow_);
         sim->run();
         sims_[s] = std::move(sim);
     };

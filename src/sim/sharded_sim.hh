@@ -62,13 +62,6 @@ class ShardedStreamSim
      */
     void run(ParallelRunner *runner = nullptr);
 
-    /**
-     * Override the batch window of every shard's replay loop (see
-     * StreamSim::setBatchWindow); shards otherwise inherit the process
-     * default.  Call before run().
-     */
-    void setBatchWindow(unsigned window) { batchWindow_ = window; }
-
     /** Shard count. */
     unsigned shards() const { return shards_; }
 
@@ -108,7 +101,6 @@ class ShardedStreamSim
     std::vector<std::vector<SeqNo>> positions_;
 
     std::vector<std::unique_ptr<StreamSim>> sims_;
-    unsigned batchWindow_ = defaultReplayBatchWindow();
     bool ran_ = false;
 };
 

@@ -2,41 +2,17 @@
  * @file
  * Implementation of the LLC stream replayer.
  *
- * The replay loop is batched: the stream is processed in fixed-size
- * windows, and while the current window's accesses resolve, the next
- * window's set state (tag rows, valid words, replacement metadata) is
- * software-prefetched through Cache::prefetchSet.  Accesses are still
- * resolved strictly one at a time in stream order — batching changes
- * memory scheduling only, never callback order or sequence numbers, so
- * every output byte matches the legacy loop (CASIM_BATCH_WINDOW=0).
+ * The replay loop resolves one access at a time in stream order; the
+ * observer callbacks and sequence numbers it produces are the contract
+ * every policy, labeler and scorer relies on.
  */
 
 #include "sim/stream_sim.hh"
-
-#include <algorithm>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "trace/mmap_file.hh"
 
 namespace casim {
-
-unsigned
-defaultReplayBatchWindow()
-{
-    static const unsigned window = [] {
-        const char *env = std::getenv("CASIM_BATCH_WINDOW");
-        if (env == nullptr || *env == '\0')
-            return kDefaultBatchWindow;
-        char *end = nullptr;
-        const unsigned long parsed = std::strtoul(env, &end, 10);
-        if (end == env || *end != '\0' || parsed > 4096)
-            casim_fatal("bad CASIM_BATCH_WINDOW '", env,
-                        "' (want an integer in [0, 4096])");
-        return static_cast<unsigned>(parsed);
-    }();
-    return window;
-}
 
 StreamSim::StreamSim(const Trace &stream, const CacheGeometry &geo,
                      std::unique_ptr<ReplPolicy> policy, CacheShard shard)
@@ -71,29 +47,12 @@ StreamSim::run()
 
     // A mapped stream is consumed strictly forward, so a page cursor
     // advises the kernel epoch by epoch and retires fully replayed
-    // epochs — replay never needs more than O(epoch + window) resident
-    // trace pages.  Pure paging hints: results are unchanged.
+    // epochs — replay never needs more than O(epoch) resident trace
+    // pages.  Pure paging hints: results are unchanged.
     PageCursor cursor(stream_.pager(), /*retire=*/true);
-    const unsigned window = batchWindow_;
-    if (window < 2) {
-        for (std::size_t i = 0; i < n; ++i) {
-            cursor.touch(i);
-            step(i);
-        }
-    } else {
-        // The cursor follows the step index: the advised span reaches
-        // one full epoch ahead, far beyond the batch lookahead, so
-        // prefetchWindow's reads stay inside it.
-        prefetchWindow(0, std::min<std::size_t>(window, n));
-        for (std::size_t base = 0; base < n; base += window) {
-            const std::size_t end =
-                std::min<std::size_t>(base + window, n);
-            prefetchWindow(end, std::min<std::size_t>(end + window, n));
-            for (std::size_t i = base; i < end; ++i) {
-                cursor.touch(i);
-                step(i);
-            }
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        cursor.touch(i);
+        step(i);
     }
     cache_->flushResidencies();
 }
@@ -121,18 +80,6 @@ StreamSim::step(std::size_t i)
     }
     if (prefetcher_ != nullptr)
         runPrefetcher(access, position);
-}
-
-void
-StreamSim::prefetchWindow(std::size_t from, std::size_t to)
-{
-    for (std::size_t i = from; i < to; ++i) {
-        const MemAccess &access = stream_[i];
-        const Addr block = access.blockAddr();
-        cache_->prefetchSet(cache_->setIndex(block));
-        if (labeler_ != nullptr)
-            labeler_->prefetchFor(block, access.pc);
-    }
 }
 
 void

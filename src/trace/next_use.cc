@@ -249,10 +249,8 @@ NextUseIndex::adoptPlanes(std::vector<LabelPlane> planes)
 void
 NextUseIndex::ensureSlices(const IndexFanout &fanout) const
 {
-    std::call_once(slicesOnce_, [this, &fanout] {
-        buildSlices(fanout);
-        slicesReady_.store(true, std::memory_order_release);
-    });
+    std::call_once(slicesOnce_,
+                   [this, &fanout] { buildSlices(fanout); });
 }
 
 void
@@ -473,19 +471,6 @@ std::size_t
 NextUseIndex::referenceCount(Addr block) const
 {
     return spanFor(block).count;
-}
-
-void
-NextUseIndex::prefetchBlock(Addr block) const
-{
-    // Deliberately does NOT ensureSlices(): a prefetch must never
-    // trigger the build.  Callers only benefit after a first real
-    // query has populated the table, which is the steady state; the
-    // acquire load keeps the unsynchronized peek race-free.
-    if (!slicesReady_.load(std::memory_order_acquire) ||
-        s_.table.empty())
-        return;
-    __builtin_prefetch(&s_.table[mixAddr(block) & s_.tableMask]);
 }
 
 std::uint8_t

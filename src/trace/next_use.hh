@@ -29,7 +29,6 @@
 #ifndef CASIM_TRACE_NEXT_USE_HH
 #define CASIM_TRACE_NEXT_USE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -285,16 +284,6 @@ class NextUseIndex
     std::size_t referenceCount(Addr block) const;
 
     /**
-     * Software-prefetch the index state a query for `block` will touch
-     * first (its open-addressing table slot).  The batched evaluators
-     * call this for every candidate block of a set before issuing the
-     * queries, so the table probes overlap instead of serializing on
-     * cache misses.  Pure performance hint; a no-op until the slices
-     * have been built by a first real query.
-     */
-    void prefetchBlock(Addr block) const;
-
-    /**
      * The oracle's label for a fill of `block` at stream position
      * `from`, computed by scanning the block's reference list (the
      * pre-label-plane code path).  The near-window veto follows the
@@ -383,10 +372,6 @@ class NextUseIndex
 
     mutable std::once_flag slicesOnce_;
     mutable Slices s_;
-
-    /** Set (release) after buildSlices; lets prefetchBlock peek at the
-     *  table without taking the once_flag's synchronization path. */
-    mutable std::atomic<bool> slicesReady_{false};
 
     mutable std::mutex planeMutex_;
     mutable std::map<std::pair<SeqNo, SeqNo>, LabelPlane> planes_;

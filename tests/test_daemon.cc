@@ -5,10 +5,15 @@
  * sweep expansion), error replies with stable error codes, result
  * decoding (byte-exact against a local queue), concurrent clients
  * against one daemon, and the drain guarantee — buffered request lines
- * and in-flight concurrent batches are still answered after a stop.
+ * and in-flight concurrent batches are still answered after a stop —
+ * and that the socket server reaps finished connection threads.
  */
 
 #include <chrono>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/json.hh"
@@ -596,6 +602,99 @@ TEST(Daemon, ShutdownDrainsConcurrentBatches)
         thread.join();
     for (int c = 0; c < kClients; ++c)
         ::close(client_fds[c]);
+}
+
+/** Threads of this process, counted from /proc/self/task. */
+std::size_t
+taskCount()
+{
+    return static_cast<std::size_t>(std::distance(
+        std::filesystem::directory_iterator("/proc/self/task"),
+        std::filesystem::directory_iterator()));
+}
+
+/** Virtual memory size of this process in KiB, from /proc/self/status. */
+std::uint64_t
+vmSizeKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        if (key == "VmSize:") {
+            std::uint64_t kb = 0;
+            status >> kb;
+            return kb;
+        }
+        status.ignore(4096, '\n');
+    }
+    return 0;
+}
+
+TEST(Daemon, FinishedConnectionThreadsAreReaped)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("casimd_reap_" + std::to_string(::getpid()) + ".sock"))
+            .string();
+    sockaddr_un addr = {};
+    addr.sun_family = AF_UNIX;
+    ASSERT_LT(path.size(), sizeof(addr.sun_path));
+    std::copy(path.begin(), path.end(), addr.sun_path);
+
+    ExperimentDaemon daemon(testConfig(), 2);
+    // The pool's workers plus the accept loop started below.
+    const std::size_t tasks_serving = taskCount() + 1;
+    std::thread server([&] { EXPECT_EQ(daemon.serveSocket(path), 0); });
+
+    const auto settle = [](auto done) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!done() && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return done();
+    };
+    const auto ping = [&] {
+        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        bool pong = false;
+        if (fd >= 0 &&
+            ::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                      sizeof(addr)) == 0) {
+            writeAll(fd, "{\"op\": \"ping\"}\n");
+            std::string pending;
+            pong = readLine(fd, pending).find("pong") != std::string::npos;
+        }
+        if (fd >= 0)
+            ::close(fd);
+        return pong;
+    };
+    // Runs the checks; the server is stopped and joined whatever they do.
+    const auto check = [&] {
+        // The first ping waits for the listener; once its handler has
+        // exited, the address space is the baseline.
+        ASSERT_TRUE(settle(ping));
+        ASSERT_TRUE(settle([&] { return taskCount() <= tasks_serving; }));
+        const std::uint64_t vm_before = vmSizeKb();
+
+        constexpr int kConnections = 64;
+        for (int c = 0; c < kConnections; ++c)
+            ASSERT_TRUE(ping()) << "connection " << c;
+
+        // Each handler is joined on the accept loop's next poll
+        // iteration.  An exited but unjoined thread has already left
+        // /proc/self/task, yet its 8 MiB stack stays mapped until the
+        // join: the address-space bound is what catches a server that
+        // never reaps (64 x 8 MiB).
+        constexpr std::size_t kSlackTasks = 2;
+        EXPECT_TRUE(settle([&] {
+            return taskCount() <= tasks_serving + kSlackTasks;
+        })) << taskCount() << " tasks, " << tasks_serving << " serving";
+        constexpr std::uint64_t kSlackKb = 128 << 10;
+        EXPECT_LE(vmSizeKb(), vm_before + kSlackKb);
+    };
+    check();
+    daemon.requestStop();
+    server.join();
+    EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(Daemon, DecodeResponseDocumentIsFatalOnErrorReply)
