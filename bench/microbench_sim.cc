@@ -56,6 +56,29 @@ microGeometry()
 }
 
 /**
+ * A hit-dominated trace: 256K references over a 16K-block (1 MB)
+ * footprint, so a 4 MB LLC misses only cold — the shape of the
+ * study's and the warm sweeps' 4 MB cells.
+ */
+const Trace &
+hitTrace()
+{
+    static const Trace trace = [] {
+        Rng rng(43);
+        Trace t("micro-hit", 8);
+        t.reserve(256 * 1024);
+        for (int i = 0; i < 256 * 1024; ++i) {
+            t.append(rng.below(16384) * kBlockBytes,
+                     0x400 + rng.below(64) * 4,
+                     static_cast<CoreId>(rng.below(8)),
+                     rng.chance(0.3));
+        }
+        return t;
+    }();
+    return trace;
+}
+
+/**
  * A cache filled to capacity: block (way * numSets + set) sits in set
  * `set`, so every set holds ways distinct tags and probes for any
  * in-range address hit.
@@ -176,6 +199,26 @@ BM_StreamSimPolicy(benchmark::State &state, const std::string &policy)
     const CacheGeometry geo = microGeometry();
     for (auto _ : state) {
         const auto factory = requirePolicyFactory(policy);
+        StreamSim sim(trace, geo, factory(geo.numSets(), geo.ways));
+        sim.run();
+        benchmark::DoNotOptimize(sim.misses());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(trace.size()));
+}
+
+void
+BM_StreamSimCell(benchmark::State &state, const std::string &policy)
+{
+    // One whole replay cell as the experiment layer runs it: construct
+    // the 4 MB LLC, replay a hit-dominated stream, flush and destroy.
+    // Unlike BM_StreamSimPolicy (1 MB, miss-heavy) the per-cell fixed
+    // cost and the per-hit work dominate here.
+    const Trace &trace = hitTrace();
+    const CacheGeometry geo{4ULL << 20, 16, kBlockBytes};
+    const auto factory = requirePolicyFactory(policy);
+    for (auto _ : state) {
         StreamSim sim(trace, geo, factory(geo.numSets(), geo.ways));
         sim.run();
         benchmark::DoNotOptimize(sim.misses());
@@ -367,6 +410,11 @@ BENCHMARK_CAPTURE(BM_StreamSimPolicy, srrip, "srrip");
 BENCHMARK_CAPTURE(BM_StreamSimPolicy, drrip, "drrip");
 BENCHMARK_CAPTURE(BM_StreamSimPolicy, ship, "ship");
 BENCHMARK_CAPTURE(BM_StreamSimPolicy, dip, "dip");
+BENCHMARK_CAPTURE(BM_StreamSimCell, lru, "lru");
+BENCHMARK_CAPTURE(BM_StreamSimCell, srrip, "srrip");
+BENCHMARK_CAPTURE(BM_StreamSimCell, drrip, "drrip");
+BENCHMARK_CAPTURE(BM_StreamSimCell, ship, "ship");
+BENCHMARK_CAPTURE(BM_StreamSimCell, dip, "dip");
 // Wall-clock rates: the shard replays run on pool threads, whose CPU
 // time the default CPU-time rate would not see.
 BENCHMARK(BM_StreamSimSharded)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();

@@ -25,12 +25,14 @@ cmake -B "${prefix}-tsan" -S . -DCASIM_SANITIZE=thread \
 cmake --build "${prefix}-tsan" -j --target casim_tests
 # Simd* checks the vector kernels against their scalar references, and
 # the ShardedSim replays run the paranoid SIMD-vs-scalar cross-check in
-# Cache::findWay / LruPolicy::victim on every lookup.  Request/Queue/Daemon cover the experiment-service
+# Cache::findWay / LruPolicy::victim on every lookup.  LeanReplay runs
+# the same cross-check and the paranoidCheckSet mirror checks over
+# payload-free caches.  Request/Queue/Daemon cover the experiment-service
 # paths (queue batching, daemon connection threads over socketpairs);
 # the death tests are excluded because fork-style death tests are
 # unreliable under TSan.
 "${prefix}-tsan"/tests/casim_tests \
-    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:ShardedSim.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
+    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:ShardedSim.*:LeanReplay.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
 
 echo "== tier-1: cold vs warm capture cache, byte-identical output =="
 capdir="$(mktemp -d)"

@@ -46,7 +46,8 @@ CacheGeometry::check() const
 }
 
 Cache::Cache(std::string name, const CacheGeometry &geo,
-             std::unique_ptr<ReplPolicy> policy, CacheShard shard)
+             std::unique_ptr<ReplPolicy> policy, CacheShard shard,
+             bool payload)
     : name_(std::move(name)), geo_(geo), shard_(shard),
       policy_(std::move(policy)),
       stats_(name_),
@@ -80,13 +81,30 @@ Cache::Cache(std::string name, const CacheGeometry &geo,
     setMask_ = geo_.numSets() - 1;
     tagStride_ = simd::tagRowStride(geo_.ways);
     simdActive_ = simd::vectorTagScanEnabled();
-    const auto slots =
-        static_cast<std::size_t>(geo_.numSets()) * geo_.ways;
     tags_.assign(static_cast<std::size_t>(geo_.numSets()) * tagStride_,
                  kAddrInvalid);
     valid_.assign(geo_.numSets(), 0);
     dirty_.assign(geo_.numSets(), 0);
-    blocks_.resize(slots);
+    if (payload)
+        allocatePayload();
+}
+
+void
+Cache::allocatePayload()
+{
+    if (hasPayload())
+        return;
+    casim_assert(validBlocks() == 0, "residency payload allocated on ",
+                 "non-empty cache ", name_);
+    blocks_.resize(static_cast<std::size_t>(geo_.numSets()) * geo_.ways);
+}
+
+void
+Cache::setObserver(CacheObserver *observer)
+{
+    casim_assert(observer == nullptr || hasPayload(), "observer on cache ",
+                 name_, " without a residency payload");
+    observer_ = observer;
 }
 
 unsigned
@@ -119,9 +137,23 @@ void
 Cache::paranoidCheckSet([[maybe_unused]] unsigned set) const
 {
 #ifdef CASIM_PARANOID
+    casim_assert((dirty_[set] & ~valid_[set]) == 0,
+                 "dirty bitmap marks a free way in ", name_, " set ",
+                 set);
     for (unsigned way = 0; way < geo_.ways; ++way) {
-        const CacheBlock &block = blockAt(set, way);
         const bool live = (valid_[set] >> way) & 1;
+        const Addr tag = tags_[tagSlot(set, way)];
+        if (live)
+            casim_assert(tag != kAddrInvalid && setIndex(tag) == set,
+                         "live tag outside its set in ", name_, " set ",
+                         set, " way ", way);
+        else
+            casim_assert(tag == kAddrInvalid,
+                         "free way keeps a stale tag in ", name_,
+                         " set ", set, " way ", way);
+        if (!hasPayload())
+            continue;
+        const CacheBlock &block = slot(set, way);
         casim_assert(block.valid == live,
                      "tag-store valid bit desynchronized in ", name_,
                      " set ", set, " way ", way);
@@ -130,7 +162,7 @@ Cache::paranoidCheckSet([[maybe_unused]] unsigned set) const
                      "dirty bitmap desynchronized in ", name_,
                      " set ", set, " way ", way);
         if (live)
-            casim_assert(tags_[tagSlot(set, way)] == block.addr,
+            casim_assert(tag == block.addr,
                          "tag-store address desynchronized in ", name_,
                          " set ", set, " way ", way);
     }
@@ -172,7 +204,7 @@ Cache::probe(Addr block_addr) const
     return way == geo_.ways ? nullptr : &blockAt(set, way);
 }
 
-CacheBlock *
+Cache::Lookup
 Cache::access(const ReplContext &ctx)
 {
     paranoidCheckRoute(ctx.blockAddr);
@@ -184,43 +216,27 @@ Cache::access(const ReplContext &ctx)
             ++writeMisses_;
         if (observer_ != nullptr)
             observer_->onMiss(ctx);
-        return nullptr;
+        return {};
     }
 
-    CacheBlock &block = blockAt(set, way);
     ++hits_;
     if (ctx.isWrite)
         ++writeHits_;
+    policy_->onHit(set, way, ctx);
+    if (!hasPayload())
+        return {true, nullptr};
+    // An observer implies the payload (setObserver asserts it), so
+    // its notification rides under the same branch.
+    CacheBlock &block = slot(set, way);
     block.touchedMask |= 1ULL << ctx.core;
     block.writtenDuringResidency |= ctx.isWrite;
     ++block.hitsDuringResidency;
-    policy_->onHit(set, way, ctx);
     if (observer_ != nullptr)
         observer_->onHit(block, ctx);
-    return &block;
+    return {true, &block};
 }
 
-void
-Cache::endResidency(unsigned set, unsigned way, bool external)
-{
-    // The valid bitmap mirrors block.valid exactly (paranoid builds
-    // assert it), and checking it spares the hot replacement path a
-    // load from the victim's cold CacheBlock line; with no observer
-    // attached the line is then touched by stores alone.
-    if (((valid_[set] >> way) & 1) == 0)
-        return;
-    CacheBlock &block = blockAt(set, way);
-    if (observer_ != nullptr)
-        observer_->onResidencyEnd(block);
-    if (external)
-        ++extInvalidations_;
-    block.invalidate();
-    tags_[tagSlot(set, way)] = kAddrInvalid;
-    valid_[set] &= ~(1ULL << way);
-    dirty_[set] &= ~(1ULL << way);
-}
-
-CacheBlock &
+CacheBlock *
 Cache::fill(const ReplContext &ctx, const VictimHandler &on_victim)
 {
     paranoidCheckRoute(ctx.blockAddr);
@@ -236,8 +252,9 @@ Cache::fill(const ReplContext &ctx, const VictimHandler &on_victim)
     // Prefer an invalid way; otherwise consult the policy.
     const std::uint64_t free_ways =
         ~valid_[set] & fullSetMask(geo_.ways);
+    const bool evicting = free_ways == 0;
     unsigned way;
-    if (free_ways != 0) {
+    if (!evicting) {
         way = static_cast<unsigned>(std::countr_zero(free_ways));
     } else {
         way = policy_->victim(set, ctx, 0);
@@ -246,31 +263,58 @@ Cache::fill(const ReplContext &ctx, const VictimHandler &on_victim)
         // usually cache-cold; start its ownership request now so the
         // install stores below don't back up the store buffer waiting
         // for it.
-        __builtin_prefetch(&blockAt(set, way), 1);
+        if (hasPayload())
+            __builtin_prefetch(&slot(set, way), 1);
         ++evictions_;
         if ((dirty_[set] >> way) & 1)
             ++dirtyEvictions_;
         policy_->onEvict(set, way);
-        if (on_victim)
-            on_victim(blockAt(set, way), set, way);
-        if (observer_ != nullptr)
-            endResidency(set, way, false);
-        // Without an observer nobody can see the victim between here
-        // and the install below, which overwrites every block field
-        // and every per-set mirror — skip endResidency's dead
-        // intermediate stores to the (cold) victim line.  The victim
-        // handler ran above with the victim intact; it must not touch
-        // this cache (the hierarchy's handlers only reach the other
-        // level).
     }
 
+    // Every per-block write of the install is payload maintenance; a
+    // payload-free cache updates the mirrors below and nothing else.
+    CacheBlock *block = nullptr;
+    if (hasPayload()) {
+        block = &slot(set, way);
+        if (evicting) {
+            // The victim handler and the observer see the victim
+            // intact.  Nobody can see it between here and the install
+            // below, which overwrites every block field and every
+            // per-set mirror, so the victim line is never cleared
+            // first.  The handler must not touch this cache (the
+            // hierarchy's handlers only reach the other level).
+            if (on_victim)
+                on_victim(*block, set, way);
+            if (observer_ != nullptr)
+                observer_->onResidencyEnd(*block);
+        }
+        install(*block, ctx);
+    } else {
+        casim_assert(!on_victim, "victim handler on cache ", name_,
+                     " without a residency payload");
+    }
+    tags_[tagSlot(set, way)] = ctx.blockAddr;
+    valid_[set] |= 1ULL << way;
+    if (ctx.isWrite)
+        dirty_[set] |= 1ULL << way;
+    else
+        dirty_[set] &= ~(1ULL << way);
+    ++fills_;
+    policy_->onFill(set, way, ctx);
+    if (observer_ != nullptr)
+        observer_->onFill(*block, ctx);
+    return block;
+}
+
+void
+Cache::install(CacheBlock &block, const ReplContext &ctx)
+{
     // Compose the installed state in a stack temporary and copy it
     // over in one memcpy instead of 13 field writes: the compiler
     // emits a few wide vector stores, which matters because the
     // victim line is usually cache-cold and a dozen narrow stores to
     // it would occupy store-buffer entries for the whole ownership
     // miss.
-    CacheBlock &block = blockAt(set, way);
     const CacheBlock installed{
         .addr = ctx.blockAddr,
         .valid = true,
@@ -287,17 +331,6 @@ Cache::fill(const ReplContext &ctx, const VictimHandler &on_victim)
         .prefetched = false,
     };
     std::memcpy(&block, &installed, sizeof(block));
-    tags_[tagSlot(set, way)] = ctx.blockAddr;
-    valid_[set] |= 1ULL << way;
-    if (ctx.isWrite)
-        dirty_[set] |= 1ULL << way;
-    else
-        dirty_[set] &= ~(1ULL << way);
-    ++fills_;
-    policy_->onFill(set, way, ctx);
-    if (observer_ != nullptr)
-        observer_->onFill(block, ctx);
-    return block;
 }
 
 void
@@ -313,7 +346,7 @@ Cache::setBlockDirty(CacheBlock &block, bool dirty)
     const auto way = static_cast<unsigned>(
         flat - static_cast<std::size_t>(set) * geo_.ways);
 #ifdef CASIM_PARANOID
-    casim_assert(way < geo_.ways && &blockAt(set, way) == &block,
+    casim_assert(way < geo_.ways && &slot(set, way) == &block,
                  "setBlockDirty block outside its address's set in ",
                  name_);
 #endif
@@ -332,7 +365,16 @@ Cache::invalidate(Addr block_addr)
     if (way == geo_.ways)
         return false;
     policy_->onInvalidate(set, way);
-    endResidency(set, way, true);
+    if (hasPayload()) {
+        CacheBlock &block = slot(set, way);
+        if (observer_ != nullptr)
+            observer_->onResidencyEnd(block);
+        block.invalidate();
+    }
+    ++extInvalidations_;
+    tags_[tagSlot(set, way)] = kAddrInvalid;
+    valid_[set] &= ~(1ULL << way);
+    dirty_[set] &= ~(1ULL << way);
     return true;
 }
 
@@ -346,10 +388,12 @@ Cache::flushResidencies()
             const unsigned way =
                 static_cast<unsigned>(std::countr_zero(live));
             live &= live - 1;
-            CacheBlock &block = blockAt(set, way);
-            if (observer_ != nullptr)
-                observer_->onResidencyEnd(block);
-            block.invalidate();
+            if (hasPayload()) {
+                CacheBlock &block = slot(set, way);
+                if (observer_ != nullptr)
+                    observer_->onResidencyEnd(block);
+                block.invalidate();
+            }
             tags_[tagSlot(set, way)] = kAddrInvalid;
         }
         valid_[set] = 0;

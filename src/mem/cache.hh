@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/simd.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -103,10 +104,35 @@ class CacheObserver
     virtual void onResidencyEnd(const CacheBlock &block) { (void)block; }
 };
 
-/** Set-associative cache with demand access / fill / invalidate ops. */
+/**
+ * Set-associative cache with demand access / fill / invalidate ops.
+ *
+ * The tag store (packed tags, valid and dirty bitmaps, the policy and
+ * the counters) decides every hit, miss and victim.  The per-way
+ * CacheBlock array — the residency payload: MESI state, directory,
+ * touch masks, fill metadata — is optional.  Without it the cache
+ * still produces identical counts, but no CacheBlock exists to hand
+ * out: access() and fill() return no block, blockAt() and probe()
+ * fail an assertion, and no observer or victim handler may attach.
+ * A replay that only reads the counters skips the payload's memory
+ * and its per-hit and per-fill writes.
+ */
 class Cache
 {
   public:
+    /** Outcome of a demand access. */
+    struct Lookup
+    {
+        /** True iff the access hit. */
+        bool hit = false;
+
+        /**
+         * The hit block; nullptr on a miss and on a cache without the
+         * residency payload.
+         */
+        CacheBlock *block = nullptr;
+    };
+
     /**
      * Called with the victim block before a fill overwrites it.  The
      * victim's set and way are passed explicitly so handlers never have
@@ -126,37 +152,58 @@ class Cache
      * @param policy Replacement policy sized for this geometry.
      * @param shard  Set shard this instance implements; {0, 0} (the
      *               default) indexes the full set range.
+     * @param payload Whether to allocate the residency payload now;
+     *               without it see allocatePayload().
      */
     Cache(std::string name, const CacheGeometry &geo,
-          std::unique_ptr<ReplPolicy> policy, CacheShard shard = {});
+          std::unique_ptr<ReplPolicy> policy, CacheShard shard = {},
+          bool payload = true);
 
-    /** Attach an observer for residency events (may be nullptr). */
-    void setObserver(CacheObserver *observer) { observer_ = observer; }
+    /**
+     * Allocate the residency payload of a cache built without it.
+     * The cache must hold no block yet (a resident block's residency
+     * fields would be unknown).  No-op if the payload exists.
+     */
+    void allocatePayload();
+
+    /** True iff the cache maintains the per-way CacheBlock array. */
+    bool hasPayload() const { return !blocks_.empty(); }
+
+    /**
+     * Attach an observer for residency events (may be nullptr).  The
+     * events carry blocks, so the cache must have the payload.
+     */
+    void setObserver(CacheObserver *observer);
 
     /** Set index for a block-aligned address. */
     unsigned setIndex(Addr block_addr) const;
 
-    /** Mutable lookup without any state change; nullptr on miss. */
+    /**
+     * Mutable lookup without any state change; nullptr on miss.
+     * Needs the payload on a hit (see blockAt).
+     */
     CacheBlock *probe(Addr block_addr);
 
     /** Const lookup without any state change; nullptr on miss. */
     const CacheBlock *probe(Addr block_addr) const;
 
     /**
-     * Perform a demand access.  On a hit the replacement state and the
-     * residency instrumentation are updated and the block returned; on
-     * a miss nullptr is returned and the caller is expected to fill().
+     * Perform a demand access.  On a hit the replacement state (and,
+     * with the payload, the residency instrumentation) is updated; on
+     * a miss the caller is expected to fill().
      */
-    CacheBlock *access(const ReplContext &ctx);
+    Lookup access(const ReplContext &ctx);
 
     /**
      * Install the block described by ctx, evicting an existing block if
      * the set is full.  The victim handler (if any) runs before the
-     * overwrite so the caller can write back or back-invalidate.
+     * overwrite so the caller can write back or back-invalidate; it
+     * needs the payload.
      *
-     * @return The freshly installed block.
+     * @return The freshly installed block, or nullptr on a cache
+     *         without the residency payload.
      */
-    CacheBlock &fill(const ReplContext &ctx,
+    CacheBlock *fill(const ReplContext &ctx,
                      const VictimHandler &on_victim = nullptr);
 
     /**
@@ -214,29 +261,59 @@ class Cache
         return hits_.value() + misses_.value();
     }
 
-    /** Block slot at (set, way); exposed for protocol code and tests. */
+    /**
+     * Block slot at (set, way); exposed for protocol code, the
+     * awareness scorer and tests.  Asserts that the cache has the
+     * payload.
+     */
     CacheBlock &
     blockAt(unsigned set, unsigned way)
     {
-        return blocks_[static_cast<std::size_t>(set) * geo_.ways + way];
+        checkPayload();
+        return slot(set, way);
     }
 
     const CacheBlock &
     blockAt(unsigned set, unsigned way) const
     {
-        return blocks_[static_cast<std::size_t>(set) * geo_.ways + way];
+        checkPayload();
+        return slot(set, way);
     }
 
   private:
+    /** Panic unless the cache has the residency payload. */
+    void
+    checkPayload() const
+    {
+        casim_assert(hasPayload(), "cache ", name_,
+                     " has no residency payload");
+    }
+
+    /** Unchecked payload slot at (set, way). */
+    CacheBlock &
+    slot(unsigned set, unsigned way)
+    {
+        return blocks_[static_cast<std::size_t>(set) * geo_.ways + way];
+    }
+
+    const CacheBlock &
+    slot(unsigned set, unsigned way) const
+    {
+        return blocks_[static_cast<std::size_t>(set) * geo_.ways + way];
+    }
+
     /** Way of block_addr within its set, or geo_.ways if absent. */
     unsigned findWay(unsigned set, Addr block_addr) const;
 
-    /** End the residency at (set, way): notify, count, clear. */
-    void endResidency(unsigned set, unsigned way, bool external);
+    /** Overwrite `block` with the fresh residency ctx starts. */
+    static void install(CacheBlock &block, const ReplContext &ctx);
 
     /**
-     * Verify that the lookup arrays agree with the payload blocks for
-     * one set.  Compiled away unless CASIM_PARANOID is defined.
+     * Verify one set's mirrors: the dirty bitmap lies within the valid
+     * one, free ways and pad lanes hold kAddrInvalid, and every live
+     * tag routes to the set; with the payload, that the blocks agree
+     * with the mirrors too.  Compiled away unless CASIM_PARANOID is
+     * defined.
      */
     void paranoidCheckSet(unsigned set) const;
 
@@ -258,7 +335,7 @@ class Cache
      * simd::tagRowStride(ways) so the vector kernels always load full
      * lanes; pad slots hold kAddrInvalid and are never valid.  The
      * instrumentation-heavy CacheBlock array is only touched on hits,
-     * fills and evictions.
+     * fills and evictions, and only when the cache has it.
      */
     std::vector<Addr> tags_;
     std::vector<std::uint64_t> valid_;
@@ -291,6 +368,7 @@ class Cache
      */
     bool simdActive_;
 
+    /** The residency payload; empty on a payload-free cache. */
     std::vector<CacheBlock> blocks_;
     CacheObserver *observer_ = nullptr;
 

@@ -75,7 +75,7 @@ Hierarchy::access(const MemAccess &access)
     Cache &l1 = *l1s_[access.core];
     ReplContext ctx{block_addr, access.pc, access.core, access.isWrite,
                     seq, false};
-    CacheBlock *blk = l1.access(ctx);
+    CacheBlock *blk = l1.access(ctx).block;
 
     if (blk != nullptr) {
         if (!access.isWrite)
@@ -126,7 +126,7 @@ Hierarchy::accessLlc(const MemAccess &access, bool is_upgrade)
     ++llcSeq_;
     cycles_ += config_.llcLatency;
 
-    CacheBlock *lb = llc_->access(ctx);
+    CacheBlock *lb = llc_->access(ctx).block;
     MesiState fill_state;
     if (lb != nullptr) {
         if (access.isWrite) {
@@ -148,7 +148,7 @@ Hierarchy::accessLlc(const MemAccess &access, bool is_upgrade)
         cycles_ += dram_ ? dram_->access(block_addr)
                          : config_.memLatency;
         ++memReads_;
-        CacheBlock &filled = llc_->fill(ctx, llcVictim_);
+        CacheBlock &filled = *llc_->fill(ctx, llcVictim_);
         filled.sharers = 0; // requester added on L1 fill below
         fill_state = access.isWrite ? MesiState::Modified
                                     : MesiState::Exclusive;
@@ -161,7 +161,7 @@ Hierarchy::accessLlc(const MemAccess &access, bool is_upgrade)
     // Install in the requester's L1 and record it in the directory.
     const Addr llc_addr = lb->addr;
     CacheBlock &l1b =
-        l1s_[access.core]->fill(ctx, l1Victims_[access.core]);
+        *l1s_[access.core]->fill(ctx, l1Victims_[access.core]);
     l1b.state = fill_state;
     l1s_[access.core]->setBlockDirty(l1b,
                                      fill_state == MesiState::Modified);

@@ -4,7 +4,10 @@
  *
  * The replay loop resolves one access at a time in stream order; the
  * observer callbacks and sequence numbers it produces are the contract
- * every policy, labeler and scorer relies on.
+ * every policy, labeler and scorer relies on.  The cache starts
+ * without its residency payload and run() allocates it only when an
+ * attached hook can see a block, so a miss-count replay runs on the
+ * tag store alone.
  */
 
 #include "sim/stream_sim.hh"
@@ -18,9 +21,8 @@ StreamSim::StreamSim(const Trace &stream, const CacheGeometry &geo,
                      std::unique_ptr<ReplPolicy> policy, CacheShard shard)
     : stream_(stream),
       cache_(std::make_unique<Cache>("llc", geo, std::move(policy),
-                                     shard))
+                                     shard, /*payload=*/false))
 {
-    cache_->setObserver(this);
 }
 
 void
@@ -32,11 +34,15 @@ StreamSim::run()
     casim_assert(positions_ == nullptr || positions_->size() == n,
                  "stream position remap does not cover the stream");
     // Every observer callback this class implements is a pure forward
-    // to the labeler/chained observer; with neither attached, detach
-    // so the cache skips the virtual dispatch per access entirely.
-    cache_->setObserver(labeler_ != nullptr || chained_ != nullptr
-                            ? static_cast<CacheObserver *>(this)
-                            : nullptr);
+    // to the labeler/chained observer; with neither attached the cache
+    // stays unobserved and skips the virtual dispatch per access.  The
+    // scorer reads victim blocks and prefetch fills flag theirs, so
+    // any of the four hooks needs the payload; with none, the replay
+    // only reads counters and the payload is never allocated.
+    const bool observed = labeler_ != nullptr || chained_ != nullptr;
+    if (observed || scorer_ != nullptr || prefetcher_ != nullptr)
+        cache_->allocatePayload();
+    cache_->setObserver(observed ? this : nullptr);
     // One handler for the whole run (it reads the position from now_)
     // instead of a std::function construction per fill.
     if (scorer_ != nullptr)
@@ -66,12 +72,13 @@ StreamSim::step(std::size_t i)
     const MemAccess &access = stream_[i];
     ReplContext ctx{access.blockAddr(), access.pc, access.core,
                     access.isWrite, position, false};
-    CacheBlock *hit = cache_->access(ctx);
-    if (hit != nullptr) {
-        if (hit->prefetched) {
-            hit->prefetched = false;
-            if (prefetcher_ != nullptr)
-                prefetcher_->recordUseful();
+    const Cache::Lookup lookup = cache_->access(ctx);
+    if (lookup.hit) {
+        // Only prefetch fills set the flag, so without a prefetcher
+        // there is nothing to read (nor a block to read it from).
+        if (prefetcher_ != nullptr && lookup.block->prefetched) {
+            lookup.block->prefetched = false;
+            prefetcher_->recordUseful();
         }
     } else {
         if (labeler_ != nullptr)
@@ -115,8 +122,7 @@ StreamSim::runPrefetcher(const MemAccess &access, SeqNo position)
                         position, false};
         if (labeler_ != nullptr)
             ctx.predictedShared = labeler_->predictShared(ctx);
-        CacheBlock &block = cache_->fill(ctx, onEvict_);
-        block.prefetched = true;
+        cache_->fill(ctx, onEvict_)->prefetched = true;
     }
 }
 

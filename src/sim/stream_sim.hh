@@ -20,7 +20,14 @@
 
 namespace casim {
 
-/** Replays an LLC reference stream through one cache. */
+/**
+ * Replays an LLC reference stream through one cache.
+ *
+ * run() allocates the cache's residency payload (see Cache) only when
+ * a labeler, observer, awareness scorer or prefetcher is attached;
+ * with none the replay runs on the tag store alone and only the
+ * counters are meaningful.
+ */
 class StreamSim : public CacheObserver
 {
   public:
@@ -76,7 +83,10 @@ class StreamSim : public CacheObserver
     /** Replay the whole stream and flush residencies. */
     void run();
 
-    /** The simulated LLC. */
+    /**
+     * The simulated LLC.  Its blocks (blockAt, probe) exist only if
+     * run() found a hook that needed them.
+     */
     Cache &cache() { return *cache_; }
     const Cache &cache() const { return *cache_; }
 

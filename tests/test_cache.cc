@@ -52,9 +52,9 @@ TEST(CacheGeometry, PaperLlcGeometry)
 TEST(Cache, MissThenHit)
 {
     auto cache = makeTinyCache();
-    EXPECT_EQ(cache->access(ctxFor(0x1000)), nullptr);
+    EXPECT_FALSE(cache->access(ctxFor(0x1000)).hit);
     cache->fill(ctxFor(0x1000));
-    EXPECT_NE(cache->access(ctxFor(0x1000)), nullptr);
+    EXPECT_TRUE(cache->access(ctxFor(0x1000)).hit);
     EXPECT_EQ(cache->demandHits(), 1u);
     EXPECT_EQ(cache->demandMisses(), 1u);
 }
@@ -245,7 +245,7 @@ TEST(CacheProperty, OccupancyBounded)
         const Addr addr = rng.below(64) * kBlockBytes;
         const auto ctx = ctxFor(addr, static_cast<CoreId>(rng.below(4)),
                                 rng.chance(0.3), i);
-        if (cache->access(ctx) == nullptr)
+        if (!cache->access(ctx).hit)
             cache->fill(ctx);
         ASSERT_LE(cache->validBlocks(), 8u);
         ASSERT_NE(cache->probe(blockAlign(addr)), nullptr);

@@ -3,18 +3,24 @@
  * Cross-validation of the simulator against independent reference
  * models: a from-first-principles set-associative LRU simulator (kept
  * deliberately naive — std::list based — so it shares no code or
- * structure with the production cache), and closed-form miss counts
- * for analytically tractable access patterns.
+ * structure with the production cache), a std::map-based residency
+ * sharing tracker fed by that LRU, and closed-form miss counts for
+ * analytically tractable access patterns.
  */
 
 #include <list>
+#include <map>
+#include <optional>
+#include <set>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "core/sharing_tracker.hh"
 #include "mem/repl/factory.hh"
 #include "mem/repl/opt.hh"
+#include "sim/experiment.hh"
 #include "sim/stream_sim.hh"
 #include "wgen/registry.hh"
 
@@ -34,6 +40,7 @@ class ReferenceLru
     bool
     access(Addr block_addr)
     {
+        victim_.reset();
         const unsigned set = static_cast<unsigned>(
             (block_addr / kBlockBytes) % numSets_);
         auto &lru = sets_[set];
@@ -45,15 +52,96 @@ class ReferenceLru
             }
         }
         lru.push_front(block_addr);
-        if (lru.size() > ways_)
+        if (lru.size() > ways_) {
+            victim_ = lru.back();
             lru.pop_back();
+        }
         return false;
+    }
+
+    /**
+     * The block the last miss evicted, if it evicted one; cleared by
+     * every access.
+     */
+    std::optional<Addr> lastVictim() const { return victim_; }
+
+    /** Every block still resident. */
+    std::vector<Addr>
+    residents() const
+    {
+        std::vector<Addr> blocks;
+        for (const auto &lru : sets_)
+            blocks.insert(blocks.end(), lru.begin(), lru.end());
+        return blocks;
     }
 
   private:
     unsigned numSets_;
     unsigned ways_;
     std::vector<std::list<Addr>> sets_;
+    std::optional<Addr> victim_;
+};
+
+/**
+ * Naive reference for SharingTracker + SharingSummary: one std::map
+ * entry per live residency holding the set of touching cores, a
+ * written flag and a hit count, folded into per-class totals when the
+ * residency ends.  Shares no code with the CacheBlock instrumentation
+ * or the tracker's counters.
+ */
+class ReferenceSharing
+{
+  public:
+    explicit ReferenceSharing(unsigned num_cores)
+        : sharerHits(num_cores, 0)
+    {
+    }
+
+    /** A demand reference that hit (`hit`) or filled `block`. */
+    void
+    reference(Addr block, CoreId core, bool is_write, bool hit)
+    {
+        Residency &res = live_[block];
+        if (hit)
+            ++res.hits;
+        res.cores.insert(core);
+        res.written = res.written || is_write;
+    }
+
+    /** `block`'s residency ended (eviction or final flush). */
+    void
+    end(Addr block)
+    {
+        const auto it = live_.find(block);
+        ASSERT_NE(it, live_.end()) << "ending a residency never begun";
+        const Residency &res = it->second;
+        const bool shared = res.cores.size() >= 2;
+        const int cls = (shared ? 2 : 0) + (res.written ? 1 : 0);
+        ++classResidencies[cls];
+        classHits[cls] += res.hits;
+        sharerHits.at(res.cores.size() - 1) += res.hits;
+        (shared ? sharedHits : privateHits) += res.hits;
+        if (res.hits == 0)
+            ++deadResidencies;
+        live_.erase(it);
+    }
+
+    std::uint64_t sharedHits = 0;
+    std::uint64_t privateHits = 0;
+    std::map<int, std::uint64_t> classHits;
+    std::map<int, std::uint64_t> classResidencies;
+    std::vector<std::uint64_t> sharerHits;
+    std::uint64_t deadResidencies = 0;
+
+  private:
+    struct Residency
+    {
+        std::set<CoreId> cores;
+        bool written = false;
+        std::uint64_t hits = 0;
+    };
+
+    std::map<Addr, Residency> live_;
 };
 
 TEST(ReferenceModel, LruMatchesOnRandomStreams)
@@ -79,6 +167,65 @@ TEST(ReferenceModel, LruMatchesOnRandomStreams)
             ref_misses += reference.access(access.blockAddr()) ? 0 : 1;
 
         ASSERT_EQ(sim.misses(), ref_misses) << "seed " << seed;
+    }
+}
+
+TEST(ReferenceModel, SharingSummaryMatchesNaiveTracker)
+{
+    // replaySharing runs the payload path (SharingTracker attached as
+    // a chained observer); every SharingSummary field must equal the
+    // naive model's, over random multi-core streams with a hot shared
+    // region so every sharing class and sharer count occurs.
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        const unsigned cores = seed == 3 ? 8 : 4;
+        Rng rng(seed);
+        Trace trace("ref", cores);
+        for (int i = 0; i < 30000; ++i) {
+            const Addr block =
+                rng.chance(0.6) ? rng.below(256) : rng.below(2048);
+            trace.append(block * kBlockBytes, 0x400 + rng.below(8),
+                         static_cast<CoreId>(rng.below(cores)),
+                         rng.chance(0.25));
+        }
+
+        ReplaySpec spec;
+        spec.policy = "lru";
+        spec.geo = CacheGeometry{32 * 1024, 8, kBlockBytes};
+        const SharingSummary summary =
+            replaySharing(trace, spec, cores);
+
+        ReferenceLru lru(spec.geo.numSets(), spec.geo.ways);
+        ReferenceSharing reference(cores);
+        for (const auto &access : trace) {
+            const Addr block = access.blockAddr();
+            const bool hit = lru.access(block);
+            if (const auto victim = lru.lastVictim())
+                reference.end(*victim);
+            reference.reference(block, access.core, access.isWrite,
+                                hit);
+        }
+        for (const Addr block : lru.residents())
+            reference.end(block);
+
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        EXPECT_EQ(summary.sharedHits, reference.sharedHits);
+        EXPECT_EQ(summary.privateHits, reference.privateHits);
+        for (int cls = 0; cls < 4; ++cls) {
+            EXPECT_EQ(summary.classHits[cls], reference.classHits[cls])
+                << sharingClassName(static_cast<SharingClass>(cls));
+            EXPECT_EQ(summary.classResidencies[cls],
+                      reference.classResidencies[cls])
+                << sharingClassName(static_cast<SharingClass>(cls));
+            EXPECT_GT(reference.classResidencies[cls], 0u);
+        }
+        EXPECT_EQ(summary.sharerHits, reference.sharerHits);
+        EXPECT_EQ(summary.deadResidencies, reference.deadResidencies);
+        const std::uint64_t hits =
+            reference.sharedHits + reference.privateHits;
+        ASSERT_GT(hits, 0u);
+        EXPECT_DOUBLE_EQ(summary.sharedHitFraction,
+                         static_cast<double>(reference.sharedHits) /
+                             static_cast<double>(hits));
     }
 }
 
