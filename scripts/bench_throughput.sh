@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
-# Measure the replay engine's throughput and emit BENCH_replay.json:
+# Measure the replay engine's throughput and write a JSON report:
 # microbenchmark rates for the tag-lookup / fill-evict / index-build hot
 # paths, plus a timed full bench binary with the capture cache disabled,
-# cold, and warm.  Run it before and after a perf change to keep the
-# repo's perf trajectory honest.
+# cold, and warm.  The numbers are absolute and box-specific; a speedup
+# claim compares two revisions on one box with scripts/bench_ab.sh.
 #
 # Usage: scripts/bench_throughput.sh [--smoke] [build-dir] [out-json]
-#   --smoke    CI mode: tiny scale, one repetition, result JSON written
-#              to a temp file so BENCH_replay.json is never clobbered.
-#              Exercises every binary and check at minimal cost.
+#   --smoke    CI mode: tiny scale, one repetition.  Exercises every
+#              binary and check at minimal cost.
 #   build-dir  defaults to "build" (must already be built)
-#   out-json   defaults to "BENCH_replay.json"
+#   out-json   where the report goes; defaults to a new temp file
+#              (its path is printed at the end)
 # Environment:
 #   BENCH_SCALE  workload scale of the timed full run (default 0.2)
 #   BENCH_REPS   microbenchmark repetitions (default 3)
@@ -23,17 +23,12 @@ if [ "${1:-}" = "--smoke" ]; then
     shift
 fi
 build="${1:-build}"
-out="${2:-BENCH_replay.json}"
+out="${2:-$(mktemp "${TMPDIR:-/tmp}/bench_replay.XXXXXX.json")}"
 scale="${BENCH_SCALE:-0.2}"
 reps="${BENCH_REPS:-3}"
 if [ "$smoke" -eq 1 ]; then
     scale="${BENCH_SCALE:-0.02}"
     reps=1
-    # Smoke runs validate the harness, not the numbers: keep the real
-    # perf baseline untouched unless the caller named an output.
-    if [ "${2:-}" = "" ]; then
-        out="$(mktemp /tmp/bench_replay_smoke.XXXXXX.json)"
-    fi
 fi
 
 micro="${build}/bench/microbench_sim"

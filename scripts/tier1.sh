@@ -355,8 +355,7 @@ echo "casimd drained and flushed stats on SIGTERM"
 
 echo "== tier-1: throughput-bench smoke run =="
 # Keeps the microbench binaries and the bench_throughput harness from
-# silently bit-rotting; writes its JSON to a temp file, never to
-# BENCH_replay.json.
+# silently bit-rotting; its JSON report goes to a temp file.
 scripts/bench_throughput.sh --smoke "${prefix}"
 
 echo "tier-1 OK"

@@ -298,7 +298,8 @@ findTagVector(const Addr *row, [[maybe_unused]] unsigned stride,
 /**
  * Name of the tag-scan ISA this process resolves lookups with, as it
  * would be selected right now: "avx2", "neon", or "scalar".  Recorded
- * in BENCH_replay.json so throughput numbers are attributable.
+ * in the scripts/bench_throughput.sh report so throughput numbers are
+ * attributable.
  */
 inline const char *
 tagScanIsa()

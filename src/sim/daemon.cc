@@ -116,6 +116,11 @@ ExperimentDaemon::ExperimentDaemon(const StudyConfig &config,
                                   "experiment requests received")),
       errors_(group_.addCounter("errors", "error replies sent"))
 {
+    group_.addFormula("live_handlers",
+                      "connection threads started and not yet joined",
+                      [this] {
+                          return static_cast<double>(liveHandlers_.load());
+                      });
 }
 
 std::string
@@ -155,9 +160,11 @@ ExperimentDaemon::statsDocument()
 {
     // No quiesce: the queue/cache/label-plane/sharded-replay groups
     // are atomic (or internally synchronized), so the stats op answers
-    // instantly even while batches are executing.  Only the daemon's
-    // own counters need their mutex.
+    // instantly even while batches are executing.  The daemon's own
+    // counters need their mutex and the runner group the runner's,
+    // which its workers take only between tasks.
     std::scoped_lock lock(statsMutex_);
+    const auto runner_lock = runner_.lockStats();
     std::ostringstream os;
     makeStatsSink().writeJsonLine(os);
     return os.str();
@@ -169,6 +176,7 @@ ExperimentDaemon::makeStatsSink()
     ResultSink sink("casimd", config_);
     sink.addGroup(group_);
     sink.addGroup(queue_.stats());
+    sink.addGroup(runner_.stats());
     sink.addGroup(cache_.stats());
     sink.addGroup(cache_.residentStats());
     sink.addGroup(labelPlaneStats());
@@ -185,6 +193,7 @@ ExperimentDaemon::flushStats()
     // written at shutdown reflects fully retired batches.
     const auto queue_lock = queue_.quiesce();
     std::scoped_lock lock(statsMutex_);
+    const auto runner_lock = runner_.lockStats();
     makeStatsSink().writeJsonFile(statsOutPath_);
 }
 
@@ -685,6 +694,7 @@ ExperimentDaemon::serveSocket(const std::string &path)
             handler.thread.join();
             return true;
         });
+        liveHandlers_ = handlers.size();
         if (signalPending())
             requestStop();
         if (stopping())
@@ -699,6 +709,7 @@ ExperimentDaemon::serveSocket(const std::string &path)
         if (conn < 0)
             continue;
         Handler &handler = handlers.emplace_back();
+        liveHandlers_ = handlers.size();
         handler.thread = std::thread([this, conn, &done = handler.done] {
             serveConnection(conn, conn);
             ::close(conn);
@@ -710,6 +721,7 @@ ExperimentDaemon::serveSocket(const std::string &path)
     // complete response lines before we tear anything down.
     for (Handler &handler : handlers)
         handler.thread.join();
+    liveHandlers_ = 0;
     ::close(listen_fd);
     ::unlink(path.c_str());
     flushStats();

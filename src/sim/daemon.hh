@@ -128,10 +128,12 @@ class ExperimentDaemon
 
     /**
      * Render the daemon's stats document (capture cache, label planes,
-     * queue and daemon counters) — the reply to the "stats" op and the
-     * document flushed to --stats-out on shutdown.  Safe to call while
-     * batches are executing: every rendered group is either atomic or
-     * guarded, so the "stats" op never waits on in-flight work.
+     * queue, runner and daemon counters) — the reply to the "stats" op
+     * and the document flushed to --stats-out on shutdown.  Safe to
+     * call while batches are executing: every rendered group is either
+     * atomic or guarded, so the "stats" op never waits on in-flight
+     * work (the runner mutex it takes is held by workers only between
+     * tasks).
      */
     std::string statsDocument();
 
@@ -185,6 +187,13 @@ class ExperimentDaemon
     stats::Counter &connections_;
     stats::Counter &requests_;
     stats::Counter &errors_;
+
+    /**
+     * serveSocket()'s connection threads not yet joined (the
+     * `live_handlers` gauge): it returns to 0 once every finished
+     * connection has been reaped.
+     */
+    std::atomic<std::size_t> liveHandlers_{0};
 };
 
 /**

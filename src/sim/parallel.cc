@@ -6,6 +6,7 @@
 #include "sim/parallel.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/timer.hh"
 
@@ -30,12 +31,16 @@ ParallelRunner::ParallelRunner(unsigned jobs)
       reentries_(stats_.addCounter(
           "reentries", "nested run() calls executed inline")),
       taskSeconds_(stats_.addDistribution(
-            "task_seconds", "wall time of each simulation cell"))
+            "task_seconds", "wall time of each simulation cell")),
+      queueWaitSeconds_(stats_.addDistribution(
+          "queue_wait_seconds",
+          "time from spawn to start of each pool task"))
 {
     stats_.addFormula("jobs", "worker count",
                       [this] { return static_cast<double>(jobs_); });
     stats_.addFormula("max_queue_depth",
-                      "deepest job queue observed", [this] {
+                      "most tasks queued at once, over all batches",
+                      [this] {
                           return static_cast<double>(maxQueueDepth_);
                       });
 }
@@ -57,46 +62,55 @@ void
 ParallelRunner::workerLoop()
 {
     for (;;) {
-        Job job;
+        Batch *batch = nullptr;
+        std::function<void()> fn;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             workReady_.wait(lock, [this] {
-                return stopping_ || !queue_.empty();
+                return stopping_ || !ring_.empty();
             });
-            if (queue_.empty())
+            if (ring_.empty())
                 return; // stopping and drained
-            job = std::move(queue_.front());
-            queue_.pop_front();
+            // The oldest task of the front batch; the batch then goes
+            // to the back of the ring if it has more queued.
+            batch = ring_.front();
+            ring_.pop_front();
+            Job &job = batch->queued.front();
+            queueWaitSeconds_.sample(job.spawned.seconds());
+            fn = std::move(job.fn);
+            batch->queued.pop_front();
+            if (!batch->queued.empty())
+                ring_.push_back(batch);
         }
         tls_active_runner = this;
-        execute(job);
+        execute(fn, *batch);
         tls_active_runner = nullptr;
     }
 }
 
 void
-ParallelRunner::execute(const Job &job)
+ParallelRunner::execute(const std::function<void()> &fn, Batch &batch)
 {
     PhaseTimer timer;
     std::exception_ptr error;
     try {
-        job.fn();
+        fn();
     } catch (...) {
         error = std::current_exception();
     }
     // Stats updates take the mutex even inline: workers of an outer
     // batch may be sampling concurrently when this is a nested group.
     std::lock_guard<std::mutex> lock(mutex_);
-    if (error && !job.batch->firstError)
-        job.batch->firstError = error;
+    if (error && !batch.firstError)
+        batch.firstError = error;
     taskSeconds_.sample(timer.seconds());
     ++tasks_;
-    if (--job.batch->pending == 0)
+    if (--batch.pending == 0)
         batchDone_.notify_all();
 }
 
 ParallelRunner::TaskGroup::TaskGroup(ParallelRunner &runner)
-    : runner_(runner), batch_(std::make_shared<Batch>()),
+    : runner_(runner),
       inline_(runner.jobs_ == 1 || tls_active_runner == &runner)
 {
     std::lock_guard<std::mutex> lock(runner_.mutex_);
@@ -111,7 +125,7 @@ ParallelRunner::TaskGroup::~TaskGroup()
         return;
     std::unique_lock<std::mutex> lock(runner_.mutex_);
     runner_.batchDone_.wait(lock,
-                            [this] { return batch_->pending == 0; });
+                            [this] { return batch_.pending == 0; });
 }
 
 void
@@ -139,14 +153,20 @@ ParallelRunner::TaskGroup::spawn(std::size_t n,
         for (unsigned w = 0; w < runner.jobs_; ++w)
             runner.workers_.emplace_back([&runner] { runner.workerLoop(); });
     });
+    const PhaseTimer spawned;
     {
         std::lock_guard<std::mutex> lock(runner_.mutex_);
-        batch_->pending += n;
+        batch_.pending += n;
+        // A batch joins the back of the ring when it gets queued work;
+        // one already in the ring keeps its place.
+        if (batch_.queued.empty())
+            runner_.ring_.push_back(&batch_);
         for (std::size_t i = 0; i < n; ++i)
-            runner_.queue_.push_back(
-                {[shared, i] { (*shared)(i); }, batch_});
-        runner_.maxQueueDepth_ =
-            std::max(runner_.maxQueueDepth_, runner_.queue_.size());
+            batch_.queued.push_back({[shared, i] { (*shared)(i); }, spawned});
+        std::size_t queued = 0;
+        for (const Batch *batch : runner_.ring_)
+            queued += batch->queued.size();
+        runner_.maxQueueDepth_ = std::max(runner_.maxQueueDepth_, queued);
     }
     if (n == 1)
         runner_.workReady_.notify_one();
@@ -159,9 +179,9 @@ ParallelRunner::TaskGroup::runHere(std::function<void()> fn)
 {
     {
         std::lock_guard<std::mutex> lock(runner_.mutex_);
-        ++batch_->pending;
+        ++batch_.pending;
     }
-    runner_.execute({std::move(fn), batch_});
+    runner_.execute(fn, batch_);
 }
 
 void
@@ -170,9 +190,9 @@ ParallelRunner::TaskGroup::wait()
     waited_ = true;
     std::unique_lock<std::mutex> lock(runner_.mutex_);
     runner_.batchDone_.wait(lock,
-                            [this] { return batch_->pending == 0; });
-    if (batch_->firstError)
-        std::rethrow_exception(batch_->firstError);
+                            [this] { return batch_.pending == 0; });
+    if (batch_.firstError)
+        std::rethrow_exception(batch_.firstError);
 }
 
 void

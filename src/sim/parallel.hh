@@ -6,10 +6,18 @@
  * cells, and each cell owns its whole simulation state (StreamSim,
  * Cache, policy instance), so the cells are embarrassingly parallel.
  * ParallelRunner is the one concurrency primitive the experiment layer
- * uses: a fixed-size worker pool with a job queue that executes indexed
- * tasks and collects their results into deterministically ordered
- * slots, making parallel output bit-identical to the serial path
- * regardless of scheduling.
+ * uses: a fixed-size worker pool that executes indexed tasks and
+ * collects their results into deterministically ordered slots, making
+ * parallel output bit-identical to the serial path regardless of
+ * scheduling.
+ *
+ * Scheduling is FIFO within a batch and round-robin across batches:
+ * every TaskGroup keeps its own queue of spawned tasks, and a worker
+ * takes the oldest task of the batch at the front of a ring of batches
+ * with queued work, then moves that batch to the back.  A small batch
+ * submitted beside a large backlog (a casimd request beside a sweep)
+ * therefore waits for one task per other batch, not for the backlog;
+ * a batch running alone gets exactly the FIFO schedule.
  *
  * Isolation rule: a task must only touch state it owns (plus read-only
  * shared inputs such as captured traces and next-use indices).  Nothing
@@ -25,19 +33,40 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/stats.hh"
+#include "common/timer.hh"
 
 namespace casim {
 
 /** Fixed-size worker pool executing indexed tasks deterministically. */
 class ParallelRunner
 {
-    struct Batch;
+    /** One task spawned to the pool and not yet started. */
+    struct Job
+    {
+        std::function<void()> fn;
+        PhaseTimer spawned;
+    };
+
+    /**
+     * What one TaskGroup (and so one run() call) owns: its queue of
+     * spawned tasks, oldest first, the undone-task count and the first
+     * exception of that batch, so concurrent top-level batches never
+     * touch each other's state.  All fields are guarded by the runner
+     * mutex.  The runner's ring points at a batch only while it has
+     * queued tasks, and so pending work that keeps its group's wait()
+     * or destructor blocked.
+     */
+    struct Batch
+    {
+        std::deque<Job> queued;
+        std::size_t pending = 0;
+        std::exception_ptr firstError;
+    };
 
   public:
     /**
@@ -66,11 +95,11 @@ class ParallelRunner
      * are consistent across jobs values and the runner stays reusable.
      *
      * Concurrent top-level calls are safe: every run() owns its own
-     * batch accounting (a heap-allocated pending/first-error record the
-     * queued jobs share), so independent callers — e.g. casimd
-     * connection threads executing overlapping experiment batches —
-     * interleave their jobs on one pool, each returning when its own
-     * batch drains and rethrowing only its own batch's first exception.
+     * batch (task queue, pending count, first error), so independent
+     * callers — e.g. casimd connection threads executing overlapping
+     * experiment batches — share one pool, served round-robin, each
+     * returning when its own batch drains and rethrowing only its own
+     * batch's first exception.
      *
      * Nesting is also safe: a task that calls run() on its own runner
      * (e.g. a sharded replay inside an experiment cell) is detected
@@ -133,8 +162,9 @@ class ParallelRunner
 
         /**
          * Run `fn` as a task of this group on the calling thread, now.
-         * For a lone task a pool hand-off would only queue it behind
-         * other batches' work; tasks it spawns still go to the pool.
+         * For a lone task a pool hand-off would only make it wait for
+         * a worker busy with other batches' tasks; tasks it spawns
+         * still go to the pool.
          */
         void runHere(std::function<void()> fn);
 
@@ -147,60 +177,51 @@ class ParallelRunner
 
       private:
         ParallelRunner &runner_;
-        std::shared_ptr<Batch> batch_;
+        Batch batch_;
         bool inline_;
         bool waited_ = false;
     };
 
     /**
      * Execution counters: batches and tasks run, per-task wall time,
-     * the worker count and the deepest queue observed.  Counter and
-     * distribution updates are serialized on the queue mutex; read the
-     * values after the runs of interest have completed.
+     * per-task queue wait, the worker count and the deepest queue
+     * observed.  Counter and distribution updates are serialized on
+     * the runner mutex; read the values after the runs of interest
+     * have completed, or under lockStats().
      */
     const stats::StatGroup &stats() const { return stats_; }
 
-  private:
     /**
-     * Accounting one TaskGroup (and so one run() call) owns: the
-     * undone-task count and the first exception of that batch.
-     * Heap-allocated and shared between the group and its queued jobs
-     * so concurrent top-level batches never touch each other's state;
-     * all fields are guarded by the runner mutex.
+     * Hold the runner mutex, so stats() can be read while batches are
+     * running (the casimd stats op).  Workers block on it, so hold it
+     * only for the read.
      */
-    struct Batch
+    std::unique_lock<std::mutex> lockStats()
     {
-        std::size_t pending = 0;
-        std::exception_ptr firstError;
-    };
+        return std::unique_lock<std::mutex>(mutex_);
+    }
 
-    /** One queued task plus the batch it retires into. */
-    struct Job
-    {
-        std::function<void()> fn;
-        std::shared_ptr<Batch> batch;
-    };
-
-    /** Worker main loop: pop jobs until asked to stop. */
+  private:
+    /** Worker main loop: pop tasks until asked to stop. */
     void workerLoop();
 
     /**
-     * Run one job on the calling thread (a worker, or the spawner of
-     * an inline group) and retire it into its batch: keep the batch's
-     * first exception, sample per-task stats, signal a drained batch.
+     * Run one task of `batch` on the calling thread (a worker, or the
+     * spawner of an inline group) and retire it: keep the batch's first
+     * exception, sample per-task stats, signal a drained batch.
      */
-    void execute(const Job &job);
+    void execute(const std::function<void()> &fn, Batch &batch);
 
     unsigned jobs_;
-    std::vector<std::thread> workers_;
-
     /** Starts workers_ once, on the first job queued to the pool. */
     std::once_flag startWorkers_;
+    std::vector<std::thread> workers_;
 
     std::mutex mutex_;
     std::condition_variable workReady_;
     std::condition_variable batchDone_;
-    std::deque<Job> queue_;
+    /** Batches with queued tasks, in the order they are served. */
+    std::deque<Batch *> ring_;
     std::size_t maxQueueDepth_ = 0;
     bool stopping_ = false;
 
@@ -209,6 +230,7 @@ class ParallelRunner
     stats::Counter &batches_;
     stats::Counter &reentries_;
     stats::Distribution &taskSeconds_;
+    stats::Distribution &queueWaitSeconds_;
 };
 
 } // namespace casim

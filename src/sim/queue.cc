@@ -443,8 +443,8 @@ ExperimentQueue::runBatch(const std::vector<ExperimentRequest> &requests)
         release_cells(i);
     };
     // A batch with one identity warms it on the submitting thread, as a
-    // one-task fan-out always did: a pool hand-off would only queue the
-    // warm behind other batches' cells.
+    // one-task fan-out always did: a pool hand-off would only make the
+    // warm wait for a worker that other batches' cells hold.
     const auto start = [&](std::vector<std::size_t> items,
                            const auto &work) {
         if (items.empty())

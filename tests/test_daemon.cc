@@ -10,6 +10,7 @@
  */
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -74,6 +75,23 @@ readLine(int fd, std::string &pending)
     }
 }
 
+/** A numeric statistic of a daemon's stats document (NaN if absent). */
+double
+statValue(ExperimentDaemon &daemon, const std::string &group,
+          const std::string &name)
+{
+    json::Value doc;
+    std::string error;
+    if (!json::parse(daemon.statsDocument(), doc, &error))
+        return std::nan("");
+    const json::Value *stats = doc.find("stats");
+    const json::Value *in_group = stats ? stats->find(group) : nullptr;
+    const json::Value *stat =
+        in_group ? in_group->find(group + "." + name) : nullptr;
+    const json::Value *value = stat ? stat->find("value") : nullptr;
+    return value ? value->number() : std::nan("");
+}
+
 /** One daemon served over a socketpair; joins on destruction. */
 class DaemonHarness
 {
@@ -128,6 +146,8 @@ TEST(Daemon, PingStatsAndUnknownOp)
     EXPECT_NE(line.find("casimd.requests"), std::string::npos);
     EXPECT_NE(line.find("capture_cache.memo_hits"), std::string::npos);
     EXPECT_NE(line.find("queue.batches"), std::string::npos);
+    EXPECT_NE(line.find("runner.queue_wait_seconds"), std::string::npos);
+    EXPECT_NE(line.find("casimd.live_handlers"), std::string::npos);
 
     writeAll(harness.fd(), "{\"op\": \"flush\"}\n");
     line = harness.readResponse();
@@ -572,6 +592,9 @@ TEST(Daemon, ShutdownDrainsConcurrentBatches)
             break;
         std::this_thread::yield();
     }
+    // The stats op renders the runner group mid-batch, under the
+    // runner mutex its workers retire tasks under (TSan runs this).
+    EXPECT_GE(statValue(daemon, "runner", "jobs"), 2.0);
 
     // Client 0 buffers a request and the shutdown in one write: its
     // request and both in-flight batches must all be answered with
@@ -667,11 +690,40 @@ TEST(Daemon, FinishedConnectionThreadsAreReaped)
             ::close(fd);
         return pong;
     };
+    const auto live_handlers = [&] {
+        return statValue(daemon, "casimd", "live_handlers");
+    };
     // Runs the checks; the server is stopped and joined whatever they do.
     const auto check = [&] {
-        // The first ping waits for the listener; once its handler has
-        // exited, the address space is the baseline.
+        // The first ping waits for the listener.
         ASSERT_TRUE(settle(ping));
+        // Then kBurst handlers live at once.  A handler that overlaps
+        // others gets its own glibc malloc arena (64 MiB of reserved
+        // address space) and thread stack, and glibc keeps both for
+        // reuse after the join.  Taking the baseline after the burst
+        // puts those pools in it, so the bound below does not depend
+        // on how many handlers the scheduler overlaps during the 64
+        // pings.
+        constexpr int kBurst = 8;
+        std::vector<int> burst;
+        for (int c = 0; c < kBurst; ++c) {
+            const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+            ASSERT_GE(fd, 0);
+            burst.push_back(fd);
+            ASSERT_EQ(::connect(fd,
+                                reinterpret_cast<const sockaddr *>(&addr),
+                                sizeof(addr)),
+                      0);
+            writeAll(fd, "{\"op\": \"ping\"}\n");
+            std::string pending;
+            ASSERT_NE(readLine(fd, pending).find("pong"), std::string::npos);
+        }
+        for (const int fd : burst)
+            ::close(fd);
+        // Once every handler is joined, the address space is the
+        // baseline.
+        ASSERT_TRUE(settle([&] { return live_handlers() == 0; }))
+            << live_handlers() << " connection threads not joined";
         ASSERT_TRUE(settle([&] { return taskCount() <= tasks_serving; }));
         const std::uint64_t vm_before = vmSizeKb();
 
@@ -680,10 +732,14 @@ TEST(Daemon, FinishedConnectionThreadsAreReaped)
             ASSERT_TRUE(ping()) << "connection " << c;
 
         // Each handler is joined on the accept loop's next poll
-        // iteration.  An exited but unjoined thread has already left
-        // /proc/self/task, yet its 8 MiB stack stays mapped until the
-        // join: the address-space bound is what catches a server that
-        // never reaps (64 x 8 MiB).
+        // iteration, and the gauge counts the handlers not yet joined:
+        // it must return exactly to 0.
+        EXPECT_TRUE(settle([&] { return live_handlers() == 0; }))
+            << live_handlers() << " connection threads not joined";
+        // The same from outside the daemon.  An exited but unjoined
+        // thread has already left /proc/self/task, yet its 8 MiB stack
+        // stays mapped until the join: the address-space bound catches
+        // a server that never reaps (64 x 8 MiB).
         constexpr std::size_t kSlackTasks = 2;
         EXPECT_TRUE(settle([&] {
             return taskCount() <= tasks_serving + kSlackTasks;

@@ -7,6 +7,8 @@
  */
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -265,6 +267,91 @@ TEST(ParallelRunner, TaskGroupDrainsThenRethrowsFirstError)
                   }).back(),
                   2);
     }
+}
+
+TEST(ParallelRunner, SmallBatchIsNotQueuedBehindALargeBatch)
+{
+    // The pool serves in-flight batches round-robin, so a 2-task batch
+    // submitted behind a 64-task backlog gets every other pop instead
+    // of waiting for the whole backlog.  Every large task holds its
+    // worker until the small batch has returned, which makes the
+    // schedule observable: round-robin pops at most kJobs large tasks
+    // before the small batch drains.  A FIFO pool would park every
+    // worker in a large task with the small batch unstarted; the large
+    // tasks detect that state (`starved`) and let go, so the failure
+    // is an assertion, not a hang.  No sleep or timeout decides it.
+    constexpr unsigned kJobs = 4;
+    constexpr std::size_t kLarge = 64;
+    ParallelRunner runner(kJobs);
+
+    std::mutex mutex;
+    std::condition_variable changed;
+    unsigned parked = 0;
+    bool released = false;
+    bool small_queued = false;
+    unsigned small_ran = 0;
+    unsigned large_held = 0;
+    std::size_t large_started = 0;
+    std::size_t started_at_return = 0;
+    bool small_returned = false;
+    bool starved = false;
+    const auto await = [&](std::unique_lock<std::mutex> &lock,
+                           auto ready) {
+        changed.notify_all();
+        changed.wait(lock, ready);
+    };
+
+    ParallelRunner::TaskGroup large(runner);
+    large.spawn(kJobs, [&](std::size_t) {
+        std::unique_lock<std::mutex> lock(mutex);
+        ++parked;
+        await(lock, [&] { return released; });
+    });
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        await(lock, [&] { return parked == kJobs; });
+    }
+    large.spawn(kLarge, [&](std::size_t) {
+        std::unique_lock<std::mutex> lock(mutex);
+        ++large_started;
+        if (++large_held == kJobs && small_ran < 2)
+            starved = true;
+        await(lock, [&] { return small_returned || starved; });
+        --large_held;
+    });
+
+    std::thread submitter([&] {
+        ParallelRunner::TaskGroup small(runner);
+        small.spawn(2, [&](std::size_t) {
+            std::lock_guard<std::mutex> lock(mutex);
+            ++small_ran;
+        });
+        {
+            std::unique_lock<std::mutex> lock(mutex);
+            small_queued = true;
+            changed.notify_all();
+        }
+        small.wait();
+        std::unique_lock<std::mutex> lock(mutex);
+        started_at_return = large_started;
+        small_returned = true;
+        changed.notify_all();
+    });
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        changed.wait(lock, [&] { return small_queued; });
+        released = true;
+        changed.notify_all();
+    }
+    submitter.join();
+    large.wait();
+
+    EXPECT_FALSE(starved) << "every worker held by the large batch "
+                             "while the small batch waited";
+    EXPECT_LE(started_at_return, kJobs);
+    EXPECT_LT(started_at_return, kLarge);
+    EXPECT_EQ(large_started, kLarge);
+    EXPECT_EQ(small_ran, 2u);
 }
 
 TEST(ParallelRunner, RunnerIsReusableAcrossBatches)
