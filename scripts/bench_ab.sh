@@ -5,19 +5,20 @@
 # under the work dir (the repository's own tree and index are not
 # touched), built, and smoke-tested with `python3 perfbench/run.py
 # --smoke`.  Then every workload runs in alternating pairs with the
-# same seed and seconds on both sides: pair i runs BASE first when i is
-# even and HEAD first when it is odd, so drift on a busy box does not
-# always favour one side.  For each end-to-end metric of BENCHMARK.json
-# the report prints each side's median and quartiles, the median ratio
-# HEAD/BASE, the pairs HEAD won (by the metric's "better" direction;
-# a tie is not a win), whether the medians differ by more than BASE's
-# quartile spread, and REGRESSION when HEAD's median is worse than
-# BASE's by more than the metric's bound.
+# same seed on both sides and BENCHMARK.json's run_seconds per run:
+# pair i runs BASE first when i is even and HEAD first when it is odd,
+# so drift on a busy box does not always favour one side.  For each
+# end-to-end metric of BENCHMARK.json the report prints each side's
+# median and quartiles, the median ratio HEAD/BASE, the pairs HEAD won
+# (by the metric's "better" direction; a tie is not a win), whether the
+# medians differ by more than BASE's quartile spread, and REGRESSION
+# when HEAD's median is worse than BASE's by more than the metric's
+# bound.
 #
 # Usage: scripts/bench_ab.sh [options] BASE HEAD
 #   BASE, HEAD       git revisions (anything `git rev-parse` accepts)
-#   --pairs=N        alternating pairs per workload (default 5, min 5)
-#   --seconds=S      seconds per run (default: BENCHMARK.json run_seconds)
+#   --pairs=N        alternating pairs per workload (default 10, the
+#                    count a gain claim needs; min 5)
 #   --seed=N         workload seed, the same on both sides (default 1)
 #   --workloads=A,B  workloads to run (default: all in BENCHMARK.json)
 #   --work-dir=DIR   where the snapshots are built and the raw results
@@ -37,8 +38,7 @@ usage() {
 
 cd "$(dirname "$0")/.."
 repo="$(pwd)"
-pairs=5
-seconds=""
+pairs=10
 seed=1
 workloads=""
 work=""
@@ -46,7 +46,6 @@ revs=()
 for arg in "$@"; do
     case "$arg" in
         --pairs=*) pairs="${arg#*=}" ;;
-        --seconds=*) seconds="${arg#*=}" ;;
         --seed=*) seed="${arg#*=}" ;;
         --workloads=*) workloads="${arg#*=}" ;;
         --work-dir=*) work="${arg#*=}" ;;
@@ -67,7 +66,7 @@ print(spec['run_seconds'] if sys.argv[2] == 'seconds' else
       ','.join(w['name'] for w in spec['workloads']))" \
         "${repo}/BENCHMARK.json" "$1"
 }
-[ -n "$seconds" ] || seconds="$(spec seconds)"
+seconds="$(spec seconds)"
 [ -n "$workloads" ] || workloads="$(spec workloads)"
 [ -n "$work" ] || work="$(mktemp -d "${TMPDIR:-/tmp}/bench_ab.XXXXXX")"
 mkdir -p "$work"

@@ -161,22 +161,22 @@ ExperimentDaemon::statsDocument()
     // No quiesce: the queue/cache/label-plane/sharded-replay groups
     // are atomic (or internally synchronized), so the stats op answers
     // instantly even while batches are executing.  The daemon's own
-    // counters need their mutex and the runner group the runner's,
-    // which its workers take only between tasks.
+    // counters need their mutex; the runner group is copied under the
+    // runner's, so workers wait for the copy, not for the rendering.
+    const stats::StatGroup runner = runner_.statsSnapshot();
     std::scoped_lock lock(statsMutex_);
-    const auto runner_lock = runner_.lockStats();
     std::ostringstream os;
-    makeStatsSink().writeJsonLine(os);
+    makeStatsSink(runner).writeJsonLine(os);
     return os.str();
 }
 
 ResultSink
-ExperimentDaemon::makeStatsSink()
+ExperimentDaemon::makeStatsSink(const stats::StatGroup &runner)
 {
     ResultSink sink("casimd", config_);
     sink.addGroup(group_);
     sink.addGroup(queue_.stats());
-    sink.addGroup(runner_.stats());
+    sink.addGroup(runner);
     sink.addGroup(cache_.stats());
     sink.addGroup(cache_.residentStats());
     sink.addGroup(labelPlaneStats());
@@ -192,9 +192,9 @@ ExperimentDaemon::flushStats()
     // Unlike the stats op, the final flush quiesces: the document
     // written at shutdown reflects fully retired batches.
     const auto queue_lock = queue_.quiesce();
+    const stats::StatGroup runner = runner_.statsSnapshot();
     std::scoped_lock lock(statsMutex_);
-    const auto runner_lock = runner_.lockStats();
-    makeStatsSink().writeJsonFile(statsOutPath_);
+    makeStatsSink(runner).writeJsonFile(statsOutPath_);
 }
 
 void

@@ -132,8 +132,8 @@ class ExperimentDaemon
      * and the document flushed to --stats-out on shutdown.  Safe to
      * call while batches are executing: every rendered group is either
      * atomic or guarded, so the "stats" op never waits on in-flight
-     * work (the runner mutex it takes is held by workers only between
-     * tasks).
+     * work (the runner group is a snapshot, copied under the runner
+     * mutex that workers take only between tasks).
      */
     std::string statsDocument();
 
@@ -159,8 +159,11 @@ class ExperimentDaemon
     std::string errorDocument(const std::string &message,
                               const std::string &code = "") const;
 
-    /** The sink behind statsDocument() and flushStats(). */
-    ResultSink makeStatsSink();
+    /**
+     * The sink behind statsDocument() and flushStats(); `runner` is a
+     * snapshot of the runner group (ParallelRunner::statsSnapshot()).
+     */
+    ResultSink makeStatsSink(const stats::StatGroup &runner);
 
     /** Flush the stats document to --stats-out when configured. */
     void flushStats();

@@ -26,23 +26,43 @@ thread_local const ParallelRunner *tls_active_runner = nullptr;
 
 ParallelRunner::ParallelRunner(unsigned jobs)
     : jobs_(jobs == 0 ? 1 : jobs), stats_("runner"),
-      tasks_(stats_.addCounter("tasks", "simulation cells executed")),
-      batches_(stats_.addCounter("batches", "run() fan-outs issued")),
-      reentries_(stats_.addCounter(
-          "reentries", "nested run() calls executed inline")),
-      taskSeconds_(stats_.addDistribution(
-            "task_seconds", "wall time of each simulation cell")),
-      queueWaitSeconds_(stats_.addDistribution(
-          "queue_wait_seconds",
-          "time from spawn to start of each pool task"))
+      sampled_(addStats(
+          stats_, [this] { return static_cast<double>(jobs_); },
+          [this] { return static_cast<double>(maxQueueDepth_); }))
 {
-    stats_.addFormula("jobs", "worker count",
-                      [this] { return static_cast<double>(jobs_); });
-    stats_.addFormula("max_queue_depth",
-                      "most tasks queued at once, over all batches",
-                      [this] {
-                          return static_cast<double>(maxQueueDepth_);
-                      });
+}
+
+ParallelRunner::StatRefs
+ParallelRunner::addStats(stats::StatGroup &group,
+                         std::function<double()> jobs,
+                         std::function<double()> maxQueueDepth)
+{
+    StatRefs refs{
+        group.addCounter("tasks", "simulation cells executed"),
+        group.addCounter("batches", "run() fan-outs issued"),
+        group.addCounter("reentries", "nested run() calls executed inline"),
+        group.addDistribution("task_seconds",
+                              "wall time of each simulation cell"),
+        group.addDistribution("queue_wait_seconds",
+                              "time from spawn to start of each pool task"),
+    };
+    group.addFormula("jobs", "worker count", std::move(jobs));
+    group.addFormula("max_queue_depth",
+                     "most tasks queued at once, over all batches",
+                     std::move(maxQueueDepth));
+    return refs;
+}
+
+stats::StatGroup
+ParallelRunner::statsSnapshot()
+{
+    stats::StatGroup snapshot("runner");
+    std::lock_guard<std::mutex> lock(mutex_);
+    const double jobs = jobs_;
+    const double depth = static_cast<double>(maxQueueDepth_);
+    addStats(snapshot, [jobs] { return jobs; }, [depth] { return depth; });
+    snapshot.mergeFrom(stats_);
+    return snapshot;
 }
 
 ParallelRunner::~ParallelRunner()
@@ -76,7 +96,7 @@ ParallelRunner::workerLoop()
             batch = ring_.front();
             ring_.pop_front();
             Job &job = batch->queued.front();
-            queueWaitSeconds_.sample(job.spawned.seconds());
+            sampled_.queueWaitSeconds.sample(job.spawned.seconds());
             fn = std::move(job.fn);
             batch->queued.pop_front();
             if (!batch->queued.empty())
@@ -103,8 +123,8 @@ ParallelRunner::execute(const std::function<void()> &fn, Batch &batch)
     std::lock_guard<std::mutex> lock(mutex_);
     if (error && !batch.firstError)
         batch.firstError = error;
-    taskSeconds_.sample(timer.seconds());
-    ++tasks_;
+    sampled_.taskSeconds.sample(timer.seconds());
+    ++sampled_.tasks;
     if (--batch.pending == 0)
         batchDone_.notify_all();
 }
@@ -114,9 +134,9 @@ ParallelRunner::TaskGroup::TaskGroup(ParallelRunner &runner)
       inline_(runner.jobs_ == 1 || tls_active_runner == &runner)
 {
     std::lock_guard<std::mutex> lock(runner_.mutex_);
-    ++runner_.batches_;
+    ++runner_.sampled_.batches;
     if (tls_active_runner == &runner_)
-        ++runner_.reentries_;
+        ++runner_.sampled_.reentries;
 }
 
 ParallelRunner::TaskGroup::~TaskGroup()

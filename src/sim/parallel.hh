@@ -187,19 +187,17 @@ class ParallelRunner
      * per-task queue wait, the worker count and the deepest queue
      * observed.  Counter and distribution updates are serialized on
      * the runner mutex; read the values after the runs of interest
-     * have completed, or under lockStats().
+     * have completed, or through statsSnapshot().
      */
     const stats::StatGroup &stats() const { return stats_; }
 
     /**
-     * Hold the runner mutex, so stats() can be read while batches are
-     * running (the casimd stats op).  Workers block on it, so hold it
-     * only for the read.
+     * A copy of stats() with the same names and values, taken under
+     * the runner mutex, so it can be read while batches are running
+     * (the casimd stats op).  Workers wait only for the copy, not for
+     * whatever renders it.
      */
-    std::unique_lock<std::mutex> lockStats()
-    {
-        return std::unique_lock<std::mutex>(mutex_);
-    }
+    stats::StatGroup statsSnapshot();
 
   private:
     /** Worker main loop: pop tasks until asked to stop. */
@@ -212,6 +210,33 @@ class ParallelRunner
      */
     void execute(const std::function<void()> &fn, Batch &batch);
 
+    /** The sampled statistics of a runner group, see addStats(). */
+    struct StatRefs
+    {
+        stats::Counter &tasks;
+        stats::Counter &batches;
+        stats::Counter &reentries;
+        stats::Distribution &taskSeconds;
+        stats::Distribution &queueWaitSeconds;
+    };
+
+    /**
+     * Register the runner statistics on `group`, always in the same
+     * order (so a snapshot pairs with the live group in mergeFrom());
+     * the formulas evaluate `jobs` and `maxQueueDepth`.
+     */
+    static StatRefs addStats(stats::StatGroup &group,
+                             std::function<double()> jobs,
+                             std::function<double()> maxQueueDepth);
+
+    // Layout note: perfbench's study-cold times the allocation of a
+    // CaptureCache, a ParallelRunner and an ExperimentQueue as one
+    // block of 1032 bytes, exactly glibc's largest tcache size.  Any
+    // 8 or more bytes added to one of those classes moves the block
+    // off the tcache and raises study-cold setup_s about 1.9x with no
+    // constructor getting slower (FOUND line on ColdQueue in
+    // CHANGES.md).  Keep sizeof(ParallelRunner) at 360 bytes until
+    // that benchmark stops measuring allocator state.
     unsigned jobs_;
     /** Starts workers_ once, on the first job queued to the pool. */
     std::once_flag startWorkers_;
@@ -226,11 +251,7 @@ class ParallelRunner
     bool stopping_ = false;
 
     stats::StatGroup stats_;
-    stats::Counter &tasks_;
-    stats::Counter &batches_;
-    stats::Counter &reentries_;
-    stats::Distribution &taskSeconds_;
-    stats::Distribution &queueWaitSeconds_;
+    StatRefs sampled_;
 };
 
 } // namespace casim

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -245,6 +246,23 @@ TEST(ParallelRunner, TaskGroupWaitsForTasksSpawnedByTasks)
             runner.stats().find("runner.tasks"));
         ASSERT_TRUE(tasks.has_value());
         EXPECT_EQ(*tasks, 40u) << jobs;
+    }
+}
+
+TEST(ParallelRunner, StatsSnapshotRendersLikeTheLiveGroup)
+{
+    for (const unsigned jobs : {1u, 4u}) {
+        ParallelRunner runner(jobs);
+        ParallelRunner::TaskGroup group(runner);
+        group.spawn(12, [](std::size_t) {});
+        group.wait();
+        std::ostringstream live;
+        std::ostringstream copy;
+        runner.stats().dumpJson(live);
+        runner.statsSnapshot().dumpJson(copy);
+        EXPECT_EQ(copy.str(), live.str()) << jobs;
+        EXPECT_NE(live.str().find("\"runner.queue_wait_seconds\""),
+                  std::string::npos);
     }
 }
 
