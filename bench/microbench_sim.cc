@@ -268,24 +268,65 @@ BM_StreamSimOpt(benchmark::State &state)
         static_cast<std::int64_t>(trace.size()));
 }
 
-void
-BM_StreamSimOracleWrapped(benchmark::State &state)
+/** One piece of the lru+oracle cell, for BM_StreamSimOracleWrapped*. */
+struct OracleCellShape
 {
-    const Trace &trace = randomTrace();
-    const CacheGeometry geo = microGeometry();
+    /** Wrap LRU in SharingAwareWrapper (else plain LRU). */
+    bool wrapped;
+    /** Attach the oracle labeler (else no labels: nothing protected). */
+    bool labeled;
+    /** Set dueling in the wrapper. */
+    bool dueling;
+};
+
+void
+runOracleCell(benchmark::State &state, const Trace &trace,
+              const CacheGeometry &geo, const OracleCellShape &shape)
+{
     const NextUseIndex index(trace);
     for (auto _ : state) {
         OracleLabeler oracle(index, 4 * (geo.sizeBytes / kBlockBytes));
-        auto wrapped = std::make_unique<SharingAwareWrapper>(
-            requirePolicyFactory("lru")(geo.numSets(), geo.ways), 256);
-        StreamSim sim(trace, geo, std::move(wrapped));
-        sim.setLabeler(&oracle);
+        std::unique_ptr<ReplPolicy> policy =
+            requirePolicyFactory("lru")(geo.numSets(), geo.ways);
+        if (shape.wrapped)
+            policy = std::make_unique<SharingAwareWrapper>(
+                std::move(policy), 256, 0, 0.5, shape.dueling);
+        StreamSim sim(trace, geo, std::move(policy));
+        if (shape.labeled)
+            sim.setLabeler(&oracle);
         sim.run();
         benchmark::DoNotOptimize(sim.misses());
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(trace.size()));
+}
+
+void
+BM_StreamSimOracleWrapped(benchmark::State &state)
+{
+    // The lru+oracle cell at 1 MB over the miss-heavy stream.
+    runOracleCell(state, randomTrace(), microGeometry(),
+                  {true, true, true});
+}
+
+void
+BM_StreamSimOracleWrappedParts(benchmark::State &state,
+                               const OracleCellShape &shape)
+{
+    // The same cell with one piece changed, so its cost decomposes
+    // into labeling, the wrapper's bookkeeping and active protection.
+    runOracleCell(state, randomTrace(), microGeometry(), shape);
+}
+
+void
+BM_StreamSimOracleWrappedCell(benchmark::State &state)
+{
+    // The lru+oracle cell at 4 MB over the hit-dominated stream: the
+    // fitting cell, where nothing evicts and per-cell set-up counts.
+    runOracleCell(state, hitTrace(), CacheGeometry{4ULL << 20, 16,
+                                                   kBlockBytes},
+                  {true, true, true});
 }
 
 void
@@ -420,6 +461,13 @@ BENCHMARK_CAPTURE(BM_StreamSimCell, dip, "dip");
 BENCHMARK(BM_StreamSimSharded)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 BENCHMARK(BM_StreamSimOpt);
 BENCHMARK(BM_StreamSimOracleWrapped);
+BENCHMARK_CAPTURE(BM_StreamSimOracleWrappedParts, lru_oracle,
+                  OracleCellShape{false, true, true});
+BENCHMARK_CAPTURE(BM_StreamSimOracleWrappedParts, no_labeler,
+                  OracleCellShape{true, false, true});
+BENCHMARK_CAPTURE(BM_StreamSimOracleWrappedParts, no_dueling,
+                  OracleCellShape{true, true, false});
+BENCHMARK(BM_StreamSimOracleWrappedCell);
 BENCHMARK(BM_NextUseIndexBuild);
 BENCHMARK(BM_LabelPlaneBuild);
 BENCHMARK(BM_OracleLabel);

@@ -43,7 +43,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 
 echo "== microbenchmarks (${reps} repetitions) =="
 micro_args=(
-    --benchmark_filter='TagLookup|FillEvict|StreamSimPolicy/lru|StreamSimCell/lru|StreamSimSharded|StreamSimOpt|NextUseIndexBuild|LabelPlaneBuild|OracleLabel|HierarchyRun'
+    --benchmark_filter='TagLookup|FillEvict|StreamSimPolicy/lru|StreamSimCell/lru|StreamSimSharded|StreamSimOpt|StreamSimOracleWrapped|NextUseIndexBuild|LabelPlaneBuild|OracleLabel|HierarchyRun'
     --benchmark_repetitions="$reps"
     --benchmark_out="$tmpdir/micro.json"
     --benchmark_out_format=json

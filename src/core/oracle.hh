@@ -40,6 +40,12 @@ bool oracleScanForced();
  * predictShared() is consulted when a block is filled; train() delivers
  * the ground-truth outcome when the residency ends, which online
  * predictors use for learning and oracles ignore.
+ *
+ * Delivering train() costs the replay its residency payload (the
+ * per-way CacheBlock array the outcome is read from).  A labeler whose
+ * train() does nothing overrides wantsTraining() to return false, and
+ * its replay runs on the tag store alone.  Anything that reads the
+ * outcome, to learn or to score, keeps the default.
  */
 class FillLabeler
 {
@@ -55,6 +61,13 @@ class FillLabeler
      */
     virtual void train(const CacheBlock &block) { (void)block; }
 
+    /**
+     * True iff train() must be called.  The default keeps a labeler
+     * that overrides train() from silently losing it; only labelers
+     * whose train() is a no-op return false.
+     */
+    virtual bool wantsTraining() const { return true; }
+
     /** Short name used in reports. */
     virtual std::string name() const = 0;
 };
@@ -69,6 +82,7 @@ class NeverSharedLabeler : public FillLabeler
         (void)fill;
         return false;
     }
+    bool wantsTraining() const override { return false; }
     std::string name() const override { return "never"; }
 };
 
@@ -82,6 +96,7 @@ class AlwaysSharedLabeler : public FillLabeler
         (void)fill;
         return true;
     }
+    bool wantsTraining() const override { return false; }
     std::string name() const override { return "always"; }
 };
 
@@ -154,6 +169,7 @@ class OracleLabeler : public FillLabeler
         return false;
     }
 
+    bool wantsTraining() const override { return false; }
     std::string name() const override { return "oracle"; }
 
     /** The future window in effect. */
@@ -198,6 +214,7 @@ class ResidencyReplayLabeler : public FillLabeler
     void recordOutcome(Addr block_addr, bool was_shared);
 
     bool predictShared(const ReplContext &fill) override;
+    bool wantsTraining() const override { return false; }
     std::string name() const override { return "residency_replay"; }
 
     /** Number of blocks with recorded outcomes. */

@@ -6,6 +6,8 @@
 #include "core/sharing_aware.hh"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -25,17 +27,14 @@ SharingAwareWrapper::SharingAwareWrapper(std::unique_ptr<ReplPolicy> base,
       maxProtected_(std::max(
           1u, static_cast<unsigned>(quota * numWays() + 0.5))),
       dueling_(dueling), demotePrivate_(demote_private),
-      roles_(numSets(), Role::Follower),
-      clock_(numSets(), 0),
-      protected_(static_cast<std::size_t>(numSets()) * numWays(), 0),
-      demoted_(static_cast<std::size_t>(numSets()) * numWays(), 0),
-      sharedSeen_(static_cast<std::size_t>(numSets()) * numWays(), 0),
+      roles_(numSets(), Role::Follower), sets_(numSets()),
       fillCore_(static_cast<std::size_t>(numSets()) * numWays(), 0),
       expiry_(static_cast<std::size_t>(numSets()) * numWays(), 0)
 {
     casim_assert(preRounds_ >= 1, "protection needs at least one round");
     casim_assert(quota > 0.0 && quota <= 1.0,
                  "protection quota must be in (0, 1]");
+    casim_assert(numWays() <= 64, "way masks hold at most 64 ways");
     if (dueling_) {
         // Pick the leader sets by a hash of the set index rather than
         // a fixed stride: strided leaders can alias with the regular
@@ -47,15 +46,15 @@ SharingAwareWrapper::SharingAwareWrapper(std::unique_ptr<ReplPolicy> base,
                              : std::max(1u, numSets() / 4);
         const unsigned total_leaders =
             std::min(numSets(), 2 * leaders_per_policy);
-        std::vector<unsigned> order(numSets());
+        // mix64 is a bijection, so the keys are distinct and only the
+        // first total_leaders of the order need sorting.
+        std::vector<std::pair<std::uint64_t, unsigned>> order(numSets());
         for (unsigned set = 0; set < numSets(); ++set)
-            order[set] = set;
-        std::sort(order.begin(), order.end(),
-                  [](unsigned a, unsigned b) {
-                      return mix64(a ^ 0x5a5a) < mix64(b ^ 0x5a5a);
-                  });
+            order[set] = {mix64(set ^ 0x5a5a), set};
+        std::partial_sort(order.begin(), order.begin() + total_leaders,
+                          order.end());
         for (unsigned k = 0; k < total_leaders; ++k) {
-            roles_[order[k]] =
+            roles_[order[k].second] =
                 (k % 2 == 0) ? Role::OnLeader : Role::OffLeader;
         }
     }
@@ -80,24 +79,27 @@ SharingAwareWrapper::protectionActive(unsigned set) const
 unsigned
 SharingAwareWrapper::protectedWays(unsigned set) const
 {
+    const SetState &st = sets_[set];
+    const std::uint64_t *expiry = &expiry_[flat(set, 0)];
     unsigned count = 0;
-    for (unsigned way = 0; way < numWays(); ++way)
-        count += isProtected(set, way) ? 1 : 0;
+    for (std::uint64_t bits = st.protect; bits != 0; bits &= bits - 1)
+        count += st.clock < expiry[std::countr_zero(bits)] ? 1 : 0;
     return count;
 }
 
 bool
 SharingAwareWrapper::isProtected(unsigned set, unsigned way) const
 {
-    const std::size_t f = flat(set, way);
-    return protected_[f] != 0 && clock_[set] < expiry_[f];
+    return (sets_[set].protect >> way) & 1 &&
+           sets_[set].clock < expiry_[flat(set, way)];
 }
 
 unsigned
 SharingAwareWrapper::victim(unsigned set, const ReplContext &ctx,
                             std::uint64_t exclude)
 {
-    const std::uint64_t now = ++clock_[set];
+    SetState &st = sets_[set];
+    const std::uint64_t now = ++st.clock;
 
     // The dueling decision gates victim filtering as well as grants:
     // once the selector learns protection hurts, protections granted
@@ -106,18 +108,15 @@ SharingAwareWrapper::victim(unsigned set, const ReplContext &ctx,
     std::uint64_t protect_mask = 0;
     std::uint64_t demote_mask = 0;
     if (protectionActive(set)) {
-        for (unsigned way = 0; way < numWays(); ++way) {
-            const std::size_t f = flat(set, way);
-            if (demoted_[f])
-                demote_mask |= 1ULL << way;
-            if (!protected_[f])
-                continue;
-            if (now >= expiry_[f]) {
-                protected_[f] = 0;
-                continue;
-            }
-            protect_mask |= 1ULL << way;
+        demote_mask = st.demoted;
+        const std::uint64_t *expiry = &expiry_[flat(set, 0)];
+        for (std::uint64_t bits = st.protect; bits != 0;
+             bits &= bits - 1) {
+            const unsigned way = std::countr_zero(bits);
+            if (now >= expiry[way])
+                st.protect &= ~(1ULL << way);
         }
+        protect_mask = st.protect;
     }
 
     const std::uint64_t all =
@@ -167,23 +166,26 @@ SharingAwareWrapper::onFill(unsigned set, unsigned way,
         else if (roles_[set] == Role::OffLeader && psel_ > 0)
             --psel_;
     }
-    const std::size_t f = flat(set, way);
+    SetState &st = sets_[set];
+    const std::uint64_t bit = 1ULL << way;
     // The way being filled cannot itself be protected (onEvict or
     // onInvalidate ran first), so the quota check counts the others.
-    protected_[f] = 0;
+    st.protect &= ~bit;
     const bool grant = ctx.predictedShared && protectionActive(set) &&
                        protectedWays(set) < maxProtected_;
-    protected_[f] = grant ? 1 : 0;
+    st.protect |= grant ? bit : 0;
     // The demotion bit is pure label state, never gated by the dueling
     // decision at fill time: gating it would leave a mix of demoted
     // and non-demoted private blocks behind every PSEL flip, and the
     // resulting age-based victim split acts like bimodal insertion —
     // gains that have nothing to do with sharing.  victim() gates its
     // *use* instead.
-    demoted_[f] = (demotePrivate_ && !ctx.predictedShared) ? 1 : 0;
-    sharedSeen_[f] = 0;
+    const bool demote = demotePrivate_ && !ctx.predictedShared;
+    st.demoted = (st.demoted & ~bit) | (demote ? bit : 0);
+    st.sharedSeen &= ~bit;
+    const std::size_t f = flat(set, way);
     fillCore_[f] = ctx.core;
-    expiry_[f] = expiryFor(f, clock_[set]);
+    expiry_[f] = expiryFor(st, way, st.clock);
 }
 
 void
@@ -191,19 +193,20 @@ SharingAwareWrapper::onHit(unsigned set, unsigned way,
                            const ReplContext &ctx)
 {
     base_->onHit(set, way, ctx);
-    const std::uint64_t now = ++clock_[set];
-    const std::size_t f = flat(set, way);
+    SetState &st = sets_[set];
+    const std::uint64_t now = ++st.clock;
     // The demotion bit is deliberately NOT cleared by hits: it encodes
     // shared-vs-private, not dead-vs-live.  Clearing it on hits would
     // turn the filter into a generic dead-block predictor and credit
     // "sharing-awareness" with gains that have nothing to do with
     // sharing (e.g. in fully-private workloads).
-    if (protected_[f]) {
+    if ((st.protect >> way) & 1) {
         // A hit refreshes the protection clock; a cross-core hit marks
         // the promised sharing as observed.
+        const std::size_t f = flat(set, way);
         if (ctx.core != fillCore_[f])
-            sharedSeen_[f] = 1;
-        expiry_[f] = expiryFor(f, now);
+            st.sharedSeen |= 1ULL << way;
+        expiry_[f] = expiryFor(st, way, now);
     }
 }
 
@@ -211,20 +214,24 @@ void
 SharingAwareWrapper::onEvict(unsigned set, unsigned way)
 {
     base_->onEvict(set, way);
-    const std::size_t f = flat(set, way);
-    protected_[f] = 0;
-    demoted_[f] = 0;
-    sharedSeen_[f] = 0;
+    clearWay(set, way);
 }
 
 void
 SharingAwareWrapper::onInvalidate(unsigned set, unsigned way)
 {
     base_->onInvalidate(set, way);
-    const std::size_t f = flat(set, way);
-    protected_[f] = 0;
-    demoted_[f] = 0;
-    sharedSeen_[f] = 0;
+    clearWay(set, way);
+}
+
+void
+SharingAwareWrapper::clearWay(unsigned set, unsigned way)
+{
+    SetState &st = sets_[set];
+    const std::uint64_t keep = ~(1ULL << way);
+    st.protect &= keep;
+    st.demoted &= keep;
+    st.sharedSeen &= keep;
 }
 
 std::string

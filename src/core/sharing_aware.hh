@@ -114,7 +114,7 @@ class SharingAwareWrapper : public ReplPolicy
     bool
     isDemoted(unsigned set, unsigned way) const
     {
-        return demoted_[flat(set, way)] != 0;
+        return (sets_[set].demoted >> way) & 1;
     }
 
     /** Victimisations where every candidate was protected. */
@@ -124,15 +124,36 @@ class SharingAwareWrapper : public ReplPolicy
     ReplPolicy &base() { return *base_; }
 
   private:
-    /** Expiry stamp for a way refreshed at set-clock `now`. */
-    std::uint64_t
-    expiryFor(std::size_t f, std::uint64_t now) const
+    /**
+     * Per-set protection state: the access clock and one bit per way
+     * for each flag, so victim() and the quota count walk only the
+     * protected ways.
+     */
+    struct SetState
     {
-        return now + (sharedSeen_[f] ? postRounds_ : preRounds_);
+        /** Access clock: ticks on every hit and victimisation. */
+        std::uint64_t clock = 0;
+        /** Ways granted protection (live until their expiry). */
+        std::uint64_t protect = 0;
+        /** Ways filled with a NOT-shared label. */
+        std::uint64_t demoted = 0;
+        /** Protected ways that have seen a cross-core hit. */
+        std::uint64_t sharedSeen = 0;
+    };
+
+    /** Expiry stamp for `way` of `st` refreshed at set-clock `now`. */
+    std::uint64_t
+    expiryFor(const SetState &st, unsigned way, std::uint64_t now) const
+    {
+        return now + ((st.sharedSeen >> way) & 1 ? postRounds_
+                                                 : preRounds_);
     }
 
     /** Number of ways in `set` currently holding live protection. */
     unsigned protectedWays(unsigned set) const;
+
+    /** Drop every flag of a way whose block left the cache. */
+    void clearWay(unsigned set, unsigned way);
 
     /** True iff fills in `set` should be granted protection now. */
     bool protectionActive(unsigned set) const;
@@ -149,12 +170,8 @@ class SharingAwareWrapper : public ReplPolicy
     bool demotePrivate_;
     std::vector<Role> roles_;
     unsigned psel_ = 1u << (kPselBits - 1);
-    /** Per-set access clock: ticks on every hit and victimisation. */
-    std::vector<std::uint64_t> clock_;
-    /** Per-way protection state. */
-    std::vector<std::uint8_t> protected_;
-    std::vector<std::uint8_t> demoted_;
-    std::vector<std::uint8_t> sharedSeen_;
+    std::vector<SetState> sets_;
+    /** Per-way fill core and protection expiry (set-clock stamp). */
     std::vector<CoreId> fillCore_;
     std::vector<std::uint64_t> expiry_;
     std::uint64_t filteredVictims_ = 0;

@@ -25,19 +25,37 @@ LruPolicy::victim(unsigned set, const ReplContext &ctx,
                   std::uint64_t exclude)
 {
     (void)ctx;
-    // The common shape — no exclusions, vector-friendly width — is a
-    // pure argmin over the set's stamp row and takes the branchless
-    // SIMD kernel.  Either path selects the same way: strict less-than
-    // with earliest-index tie-break.
-    if (exclude == 0 && simdVictim_) {
-        const unsigned best = simd::argminU64Vector(
-            &stamp_[flat(set, 0)], numWays());
+    // A vector-friendly width is a pure argmin over the set's stamp
+    // row and takes the branchless SIMD kernel, masked when the caller
+    // (the sharing-aware wrapper) excludes ways.  Either path selects
+    // the same way: strict less-than with earliest-index tie-break.
+    // Excluded lanes read as UINT64_MAX, which no stamp reaches, so
+    // the masked kernel agrees with the scalar loop whenever one way
+    // is left; a fully excluded set falls through to its assert.
+    if (simdVictim_) {
+        const std::uint64_t *row = &stamp_[flat(set, 0)];
+        if (exclude == 0) {
+            const unsigned best = simd::argminU64Vector(row, numWays());
 #ifdef CASIM_PARANOID
-        casim_assert(best == simd::argminU64Scalar(
-                                 &stamp_[flat(set, 0)], numWays()),
-                     "SIMD stamp argmin disagrees with the scalar scan");
+            casim_assert(best == simd::argminU64Scalar(row, numWays()),
+                         "SIMD stamp argmin disagrees with the scalar "
+                         "scan");
 #endif
-        return best;
+            return best;
+        }
+        const std::uint64_t all =
+            numWays() >= 64 ? ~0ULL : ((1ULL << numWays()) - 1);
+        if ((exclude & all) != all) {
+            const unsigned best =
+                simd::argminU64Masked(row, numWays(), exclude);
+#ifdef CASIM_PARANOID
+            casim_assert(best == simd::argminU64MaskedScalar(
+                                     row, numWays(), exclude),
+                         "SIMD masked stamp argmin disagrees with the "
+                         "scalar scan");
+#endif
+            return best;
+        }
     }
     unsigned best = numWays();
     std::uint64_t best_stamp = std::numeric_limits<std::uint64_t>::max();

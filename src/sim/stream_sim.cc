@@ -34,12 +34,16 @@ StreamSim::run()
     casim_assert(positions_ == nullptr || positions_->size() == n,
                  "stream position remap does not cover the stream");
     // Every observer callback this class implements is a pure forward
-    // to the labeler/chained observer; with neither attached the cache
-    // stays unobserved and skips the virtual dispatch per access.  The
-    // scorer reads victim blocks and prefetch fills flag theirs, so
-    // any of the four hooks needs the payload; with none, the replay
-    // only reads counters and the payload is never allocated.
-    const bool observed = labeler_ != nullptr || chained_ != nullptr;
+    // to a training labeler or the chained observer; with neither
+    // attached the cache stays unobserved and skips the virtual
+    // dispatch per access.  A labeler that does not train (the oracle)
+    // only labels fills, which needs no block.  The scorer reads
+    // victim blocks and prefetch fills flag theirs, so any of these
+    // hooks needs the payload; with none, the replay only reads
+    // counters and the payload is never allocated.
+    const bool observed =
+        (labeler_ != nullptr && labeler_->wantsTraining()) ||
+        chained_ != nullptr;
     if (observed || scorer_ != nullptr || prefetcher_ != nullptr)
         cache_->allocatePayload();
     cache_->setObserver(observed ? this : nullptr);

@@ -24,9 +24,9 @@ namespace casim {
  * Replays an LLC reference stream through one cache.
  *
  * run() allocates the cache's residency payload (see Cache) only when
- * a labeler, observer, awareness scorer or prefetcher is attached;
- * with none the replay runs on the tag store alone and only the
- * counters are meaningful.
+ * a training labeler (FillLabeler::wantsTraining), observer, awareness
+ * scorer or prefetcher is attached; with none the replay runs on the
+ * tag store alone and only the counters are meaningful.
  */
 class StreamSim : public CacheObserver
 {

@@ -4,9 +4,10 @@
  * cache's tag store alone (no CacheBlock array).  These tests pin that
  * it reproduces, counter for counter, the same replay forced to keep
  * the residency payload, serial and set-sharded, for every builtin
- * policy plus OPT at a fitting and an evicting geometry; that the
- * payload is allocated exactly when a hook can see a block; and that
- * a payload-free cache refuses to hand out blocks.
+ * policy plus OPT, and for the sharing-aware lru+oracle cell, at a
+ * fitting and an evicting geometry; that the payload is allocated
+ * exactly when a hook can see a block; and that a payload-free cache
+ * refuses to hand out blocks.
  */
 
 #include <sstream>
@@ -16,6 +17,8 @@
 #include "common/bitops.hh"
 #include "common/rng.hh"
 #include "core/awareness.hh"
+#include "core/predictor.hh"
+#include "core/sharing_aware.hh"
 #include "mem/prefetcher.hh"
 #include "mem/repl/factory.hh"
 #include "mem/repl/lru.hh"
@@ -206,11 +209,25 @@ TEST(LeanReplay, PayloadAllocatedOnlyWhenHooked)
     bare->run();
     EXPECT_FALSE(bare->cache().hasPayload());
 
+    // Labelers that never train only label fills: no block needed.
     NeverSharedLabeler labeler;
     auto labeled = make();
     labeled->setLabeler(&labeler);
     labeled->run();
-    EXPECT_TRUE(labeled->cache().hasPayload());
+    EXPECT_FALSE(labeled->cache().hasPayload());
+
+    OracleLabeler oracle(index, 1000);
+    auto oracled = make();
+    oracled->setLabeler(&oracle);
+    oracled->run();
+    EXPECT_FALSE(oracled->cache().hasPayload());
+
+    // A predictor learns from residency outcomes, so it keeps them.
+    AddressSharingPredictor predictor(PredictorConfig{});
+    auto predicted = make();
+    predicted->setLabeler(&predictor);
+    predicted->run();
+    EXPECT_TRUE(predicted->cache().hasPayload());
 
     NoopObserver observer;
     auto observed = make();
@@ -232,8 +249,61 @@ TEST(LeanReplay, PayloadAllocatedOnlyWhenHooked)
     EXPECT_TRUE(prefetched->cache().hasPayload());
 
     EXPECT_EQ(bare->misses(), labeled->misses());
+    EXPECT_EQ(bare->misses(), oracled->misses());
+    EXPECT_EQ(bare->misses(), predicted->misses());
     EXPECT_EQ(bare->misses(), observed->misses());
     EXPECT_EQ(bare->misses(), scored->misses());
+}
+
+/** The oracle's label-split counters, as one JSON document. */
+std::string
+statsJson(const OracleLabeler &oracle)
+{
+    std::ostringstream json;
+    oracle.stats().dumpJson(json);
+    return json.str();
+}
+
+TEST(LeanReplay, OracleCellMatchesPayloadReplay)
+{
+    // The lru+oracle cell as the experiment layer builds it: the
+    // payload-free replay (the oracle does not train) against the same
+    // replay with an observer forcing the payload on.
+    const NextUseIndex index(leanTrace());
+    for (const CacheGeometry &geo : {kFitting, kEvicting}) {
+        SCOPED_TRACE(std::to_string(geo.sizeBytes) + " B");
+        const SeqNo window = 4 * (geo.sizeBytes / kBlockBytes);
+        const auto make = [&] {
+            return std::make_unique<StreamSim>(
+                leanTrace(), geo,
+                std::make_unique<SharingAwareWrapper>(
+                    std::make_unique<LruPolicy>(geo.numSets(),
+                                                geo.ways)));
+        };
+
+        OracleLabeler lean_oracle(index, window);
+        auto lean = make();
+        lean->setLabeler(&lean_oracle);
+        lean->run();
+        EXPECT_FALSE(lean->cache().hasPayload());
+
+        OracleLabeler kept_oracle(index, window);
+        NoopObserver observer;
+        auto kept = make();
+        kept->setLabeler(&kept_oracle);
+        kept->setObserver(&observer);
+        kept->run();
+        ASSERT_TRUE(kept->cache().hasPayload());
+
+        EXPECT_EQ(lean->misses(), kept->misses());
+        EXPECT_EQ(statsJson(lean->cache()), statsJson(kept->cache()));
+        EXPECT_EQ(statsJson(lean_oracle), statsJson(kept_oracle));
+        // The oracle labeled something shared, so protection engaged.
+        const auto *shared = dynamic_cast<const stats::Counter *>(
+            lean_oracle.stats().find("oracle.shared_labels"));
+        ASSERT_NE(shared, nullptr);
+        EXPECT_GT(shared->value(), 0u);
+    }
 }
 
 TEST(LeanReplay, CacheOpsMatchWithoutPayload)

@@ -4,10 +4,12 @@
  * models: a from-first-principles set-associative LRU simulator (kept
  * deliberately naive — std::list based — so it shares no code or
  * structure with the production cache), a std::map-based residency
- * sharing tracker fed by that LRU, and closed-form miss counts for
- * analytically tractable access patterns.
+ * sharing tracker fed by that LRU, a per-way-array model of the
+ * sharing-aware wrapper (reference_sharing_aware.hh), and closed-form
+ * miss counts for analytically tractable access patterns.
  */
 
+#include <bit>
 #include <list>
 #include <map>
 #include <optional>
@@ -17,11 +19,14 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "core/sharing_aware.hh"
 #include "core/sharing_tracker.hh"
 #include "mem/repl/factory.hh"
+#include "mem/repl/lru.hh"
 #include "mem/repl/opt.hh"
 #include "sim/experiment.hh"
 #include "sim/stream_sim.hh"
+#include "reference_sharing_aware.hh"
 #include "wgen/registry.hh"
 
 namespace casim {
@@ -316,6 +321,166 @@ TEST(ReferenceModel, WorkingSetThatFitsMissesOnlyCold)
         sim.run();
         EXPECT_EQ(sim.misses(), trace.footprintBlocks()) << policy;
     }
+}
+
+/** One configuration of the wrapper under the reference check. */
+struct WrapperCase
+{
+    std::uint64_t seed;
+    unsigned ways;
+    bool dueling;
+    bool demote;
+    double quota;
+};
+
+/** Victim-branch counts summed over the cases, to prove coverage. */
+struct WrapperBranches
+{
+    std::uint64_t filtered = 0;
+    std::uint64_t demoted = 0;
+    std::uint64_t saturated = 0;
+};
+
+/**
+ * Drive the production wrapper and the reference with one random
+ * sequence of fills, hits, evictions, invalidations and bare victim()
+ * calls (random caller exclusions included) on 16 sets, asserting the
+ * same victim, the same isProtected/isDemoted on every way of the
+ * touched set, the same PSEL and the same counters after every step.
+ * Set selection runs in phases that favour the off-leaders, then the
+ * on-leaders, so the dueling selector swings the followers both ways.
+ */
+void
+checkWrapperCase(const WrapperCase &c, WrapperBranches &branches)
+{
+    using Role = ReferenceSharingAwareWrapper::Role;
+    constexpr unsigned kSets = 16;
+    constexpr int kSteps = 6000;
+    Rng rng(c.seed * 1000 + c.ways);
+    const unsigned pre = 4 + static_cast<unsigned>(rng.below(24));
+    SharingAwareWrapper real(std::make_unique<LruPolicy>(kSets, c.ways),
+                             pre, 0, c.quota, c.dueling, c.demote);
+    ReferenceSharingAwareWrapper ref(
+        std::make_unique<LruPolicy>(kSets, c.ways), pre, 0, c.quota,
+        c.dueling, c.demote);
+
+    std::vector<unsigned> on, off;
+    for (unsigned set = 0; set < kSets; ++set) {
+        ASSERT_EQ(static_cast<int>(real.role(set)),
+                  static_cast<int>(ref.role(set)));
+        if (ref.role(set) == Role::OnLeader)
+            on.push_back(set);
+        else if (ref.role(set) == Role::OffLeader)
+            off.push_back(set);
+    }
+
+    const std::uint64_t all = c.ways >= 64 ? ~0ULL : (1ULL << c.ways) - 1;
+    std::vector<std::uint64_t> valid(kSets, 0);
+    bool followers_on = false, followers_off = false;
+    for (int step = 0; step < kSteps; ++step) {
+        const int phase = step * 3 / kSteps;
+        auto set = static_cast<unsigned>(rng.below(kSets));
+        if (c.dueling && phase > 0 && rng.chance(0.6)) {
+            const auto &leaders = phase == 1 ? off : on;
+            set = leaders[rng.below(leaders.size())];
+        }
+        const ReplContext ctx{rng.below(4096) * kBlockBytes, 0x400,
+                              static_cast<CoreId>(rng.below(4)),
+                              rng.chance(0.3), static_cast<SeqNo>(step),
+                              rng.chance(0.5)};
+        const auto random_valid = [&] {
+            std::uint64_t bits = valid[set];
+            for (auto k = rng.below(std::popcount(bits)); k > 0; --k)
+                bits &= bits - 1;
+            return static_cast<unsigned>(std::countr_zero(bits));
+        };
+        // A caller exclusion that leaves at least one way; empty half
+        // the time, as the cache itself always passes.
+        std::uint64_t exclude = rng.chance(0.5) ? 0 : rng.next() & all;
+        if (exclude == all)
+            exclude &= ~(1ULL << rng.below(c.ways));
+
+        const auto op = rng.below(100);
+        if (op < 40 && valid[set] != 0) {
+            const unsigned way = random_valid();
+            real.onHit(set, way, ctx);
+            ref.onHit(set, way, ctx);
+        } else if (op < 80) {
+            unsigned way;
+            if (valid[set] != all) {
+                way = static_cast<unsigned>(std::countr_zero(~valid[set]));
+            } else {
+                way = real.victim(set, ctx, exclude);
+                ASSERT_EQ(way, ref.victim(set, ctx, exclude))
+                    << "step " << step;
+                ASSERT_EQ(exclude >> way & 1, 0u);
+                real.onEvict(set, way);
+                ref.onEvict(set, way);
+            }
+            real.onFill(set, way, ctx);
+            ref.onFill(set, way, ctx);
+            valid[set] |= 1ULL << way;
+        } else if (op < 92 && valid[set] != 0) {
+            const unsigned way = random_valid();
+            if (op < 87) {
+                real.onInvalidate(set, way);
+                ref.onInvalidate(set, way);
+            } else {
+                real.onEvict(set, way);
+                ref.onEvict(set, way);
+            }
+            valid[set] &= ~(1ULL << way);
+        } else {
+            ASSERT_EQ(real.victim(set, ctx, exclude),
+                      ref.victim(set, ctx, exclude))
+                << "step " << step;
+        }
+
+        for (unsigned way = 0; way < c.ways; ++way) {
+            ASSERT_EQ(real.isProtected(set, way), ref.isProtected(set, way))
+                << "set " << set << " way " << way << " step " << step;
+            ASSERT_EQ(real.isDemoted(set, way), ref.isDemoted(set, way))
+                << "set " << set << " way " << way << " step " << step;
+        }
+        ASSERT_EQ(real.psel(), ref.psel()) << "step " << step;
+        ASSERT_EQ(real.filteredVictims(), ref.filteredVictims());
+        ASSERT_EQ(real.demotedVictims(), ref.demotedVictims());
+        ASSERT_EQ(real.saturatedSets(), ref.saturatedSets());
+        followers_on |= real.followersProtect();
+        followers_off |= !real.followersProtect();
+    }
+    if (c.dueling) {
+        EXPECT_TRUE(followers_on);
+        EXPECT_TRUE(followers_off);
+    }
+    branches.filtered += real.filteredVictims();
+    branches.demoted += real.demotedVictims();
+    branches.saturated += real.saturatedSets();
+}
+
+TEST(ReferenceModel, SharingAwareWrapperMatchesReference)
+{
+    WrapperBranches branches;
+    for (const std::uint64_t seed : {1u, 2u, 3u})
+        for (const unsigned ways : {4u, 16u})
+            for (const bool dueling : {false, true})
+                for (const bool demote : {false, true})
+                    for (const double quota : {0.25, 1.0}) {
+                        const WrapperCase c{seed, ways, dueling, demote,
+                                            quota};
+                        SCOPED_TRACE(testing::Message()
+                                     << "seed " << seed << " ways " << ways
+                                     << " dueling " << dueling
+                                     << " demote " << demote << " quota "
+                                     << quota);
+                        checkWrapperCase(c, branches);
+                        if (testing::Test::HasFatalFailure())
+                            return;
+                    }
+    // Every victim-preference branch was exercised somewhere.
+    EXPECT_GT(branches.filtered, 0u);
+    EXPECT_GT(branches.demoted, 0u);
+    EXPECT_GT(branches.saturated, 0u);
 }
 
 } // namespace

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the SIMD replay kernels: randomized property checks that
- * the vector tag scan and the vector argmin agree with their scalar
- * reference kernels across geometries.
+ * the vector tag scan and the vector argmins (plain and masked) agree
+ * with their scalar reference kernels across geometries.
  */
 
+#include <bit>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,6 +101,67 @@ TEST(SimdArgmin, MatchesScalarRandomized)
             const unsigned vector =
                 simd::argminU64Vector(values.data(), count);
             ASSERT_EQ(vector, scalar) << "count=" << count;
+        }
+    }
+}
+
+TEST(SimdArgmin, MaskedMatchesScalar)
+{
+    // The masked kernel ORs all-ones into excluded lanes; check it
+    // against the scalar twin over random rows and masks, with dense
+    // ties, values at UINT64_MAX (which tie with excluded lanes), and
+    // masks that leave exactly one lane.
+    Rng rng(0xa8);
+    for (const unsigned count : {4u, 8u, 16u, 64u}) {
+        const std::uint64_t all =
+            count >= 64 ? ~0ULL : (1ULL << count) - 1;
+        std::vector<std::uint64_t> values(count);
+        for (int trial = 0; trial < 4000; ++trial) {
+            for (auto &v : values) {
+                switch (rng.below(4)) {
+                  case 0:
+                    v = rng.below(4);
+                    break;
+                  case 1:
+                    v = (1ULL << 63) + rng.below(4) - 2;
+                    break;
+                  case 2:
+                    v = ~0ULL - rng.below(2);
+                    break;
+                  default:
+                    v = rng.next();
+                    break;
+                }
+            }
+            std::uint64_t exclude;
+            switch (trial % 4) {
+              case 0:
+                exclude = 0;
+                break;
+              case 1: // a single unmasked lane
+                exclude = all & ~(1ULL << rng.below(count));
+                break;
+              default:
+                exclude = rng.next() & all;
+                break;
+            }
+            const unsigned scalar = simd::argminU64MaskedScalar(
+                values.data(), count, exclude);
+            const unsigned vector =
+                simd::argminU64Masked(values.data(), count, exclude);
+            ASSERT_EQ(vector, scalar)
+                << "count=" << count << " exclude=" << exclude;
+            if (exclude == 0) {
+                ASSERT_EQ(scalar,
+                          simd::argminU64Scalar(values.data(), count));
+            }
+            // The one unmasked lane wins unless it ties the masked
+            // lanes at UINT64_MAX.
+            const auto lane =
+                static_cast<unsigned>(std::countr_zero(~exclude));
+            if (trial % 4 == 1 && values[lane] != ~0ULL) {
+                ASSERT_EQ(scalar, lane);
+            }
         }
     }
 }
